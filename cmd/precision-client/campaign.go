@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/precision"
 	"repro/internal/runner"
 	"repro/internal/serve/campaign"
 )
@@ -84,7 +85,8 @@ func runCampaign(addr, path string, retries int, raw bool) {
 		fmt.Printf("line_cut_delta: n=%d mean=%.3e max=%.3e\n",
 			a.LineCutDelta.Count, a.LineCutDelta.Mean, a.LineCutDelta.Max)
 	}
-	for _, mode := range []string{"half", "min", "mixed", "full"} {
+	for _, m := range precision.Ladder {
+		mode := m.Name()
 		ms, ok := a.PerMode[mode]
 		if !ok {
 			continue

@@ -54,7 +54,7 @@ func TestDamBreakIC(t *testing.T) {
 }
 
 func TestRunStableAllModes(t *testing.T) {
-	for _, mode := range precision.AllModes {
+	for _, mode := range precision.Ladder {
 		cfg := testConfig(KernelFace, 1)
 		r, err := New(mode, cfg, testIC(cfg))
 		if err != nil {

@@ -86,18 +86,19 @@ func (l *Logger) Enabled(level Level) bool {
 }
 
 // Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, attrs ...Attr) { l.log(LevelDebug, msg, attrs) }
+func (l *Logger) Debug(msg string, attrs ...Attr) { l.Log(LevelDebug, msg, attrs...) }
 
 // Info logs at LevelInfo.
-func (l *Logger) Info(msg string, attrs ...Attr) { l.log(LevelInfo, msg, attrs) }
+func (l *Logger) Info(msg string, attrs ...Attr) { l.Log(LevelInfo, msg, attrs...) }
 
 // Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, attrs ...Attr) { l.log(LevelWarn, msg, attrs) }
+func (l *Logger) Warn(msg string, attrs ...Attr) { l.Log(LevelWarn, msg, attrs...) }
 
 // Error logs at LevelError.
-func (l *Logger) Error(msg string, attrs ...Attr) { l.log(LevelError, msg, attrs) }
+func (l *Logger) Error(msg string, attrs ...Attr) { l.Log(LevelError, msg, attrs...) }
 
-func (l *Logger) log(level Level, msg string, attrs []Attr) {
+// Log logs at a level chosen at run time (a table-driven caller).
+func (l *Logger) Log(level Level, msg string, attrs ...Attr) {
 	if !l.Enabled(level) {
 		return
 	}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/fp16"
@@ -54,11 +55,15 @@ const (
 	Full
 )
 
-// Modes lists the paper's three modes in presentation order.
-var Modes = []Mode{Min, Mixed, Full}
+// Ladder orders every mode cheapest-first. It is the one definition of
+// rung order: escalation after a numerical failure climbs it (Next),
+// autotune demotion descends it (Prev), and campaign ladders and client
+// tables list modes in it.
+var Ladder = []Mode{Half, Min, Mixed, Full}
 
-// AllModes additionally includes the Half extension.
-var AllModes = []Mode{Half, Min, Mixed, Full}
+// Modes lists the paper's three modes in presentation order: the ladder
+// without the Half extension.
+var Modes = Ladder[1:]
 
 // String returns the mode name as used in the paper's tables.
 func (m Mode) String() string {
@@ -94,22 +99,33 @@ func Parse(s string) (Mode, error) {
 	}
 }
 
-// Next returns the next rung of the precision-escalation ladder
-// (Half → Min → Mixed → Full); ok is false at the top. This is the order
-// the serving layer climbs when a reduced-precision run trips
+// Name returns the canonical lowercase spelling ("half", "min", "mixed",
+// "full") — the form specs, journals and the HTTP API carry, and the one
+// Parse maps every alias onto.
+func (m Mode) Name() string { return strings.ToLower(m.String()) }
+
+// Rank returns the mode's position on Ladder (0 = cheapest), or -1 for a
+// value that is not a mode.
+func (m Mode) Rank() int { return slices.Index(Ladder, m) }
+
+// Next returns the next rung up Ladder; ok is false at the top. This is
+// the order the serving layer climbs when a reduced-precision run trips
 // ErrNumericalFailure — the paper's "thoughtful precision" applied as a
 // recovery policy rather than a static choice.
 func (m Mode) Next() (Mode, bool) {
-	switch m {
-	case Half:
-		return Min, true
-	case Min:
-		return Mixed, true
-	case Mixed:
-		return Full, true
-	default:
-		return Full, false
+	if r := m.Rank(); r >= 0 && r+1 < len(Ladder) {
+		return Ladder[r+1], true
 	}
+	return Full, false
+}
+
+// Prev returns the next rung down Ladder — the demotion direction; ok is
+// false at the bottom.
+func (m Mode) Prev() (Mode, bool) {
+	if r := m.Rank(); r > 0 {
+		return Ladder[r-1], true
+	}
+	return Half, false
 }
 
 // StorageBytes returns the size in bytes of one stored state scalar.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestModeStringParseRoundTrip(t *testing.T) {
-	for _, m := range AllModes {
+	for _, m := range Ladder {
 		got, err := Parse(m.String())
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", m.String(), err)
@@ -28,6 +28,37 @@ func TestModeStringParseRoundTrip(t *testing.T) {
 	}
 	if _, err := Parse("quad"); err == nil {
 		t.Error("Parse accepted unknown mode")
+	}
+}
+
+// TestLadderOrder pins the one rung order every consumer derives from:
+// Next climbs it, Prev descends it, Rank indexes it, Name spells it.
+func TestLadderOrder(t *testing.T) {
+	want := []string{"half", "min", "mixed", "full"}
+	if len(Ladder) != len(want) {
+		t.Fatalf("Ladder = %v, want %v", Ladder, want)
+	}
+	for i, m := range Ladder {
+		if m.Name() != want[i] || m.Rank() != i {
+			t.Errorf("Ladder[%d] = %s (rank %d), want %s (rank %d)", i, m.Name(), m.Rank(), want[i], i)
+		}
+		if got, err := Parse(m.Name()); err != nil || got != m {
+			t.Errorf("Parse(%q) = %v, %v; want %v", m.Name(), got, err, m)
+		}
+		next, ok := m.Next()
+		if top := i == len(Ladder)-1; ok == top || (ok && next != Ladder[i+1]) {
+			t.Errorf("%s.Next() = %v, %v", m.Name(), next, ok)
+		}
+		prev, ok := m.Prev()
+		if bottom := i == 0; ok == bottom || (ok && prev != Ladder[i-1]) {
+			t.Errorf("%s.Prev() = %v, %v", m.Name(), prev, ok)
+		}
+	}
+	if len(Modes) != 3 || Modes[0] != Min || Modes[2] != Full {
+		t.Errorf("Modes = %v, want the ladder without Half", Modes)
+	}
+	if _, ok := Mode(99).Next(); ok || Mode(99).Rank() != -1 {
+		t.Error("a non-mode value has a rung")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/precision"
@@ -48,6 +47,18 @@ func (k Kind) String() string {
 	default:
 		return "permanent"
 	}
+}
+
+// ParseKind inverts String for a classification that crossed the wire (a
+// worker reporting a failed run). Anything unrecognized degrades to
+// transient: retried, never silently dropped.
+func ParseKind(s string) Kind {
+	for _, k := range []Kind{KindPermanent, KindTimeout, KindNumerical} {
+		if s == k.String() {
+			return k
+		}
+	}
+	return KindTransient
 }
 
 // Error is the typed failure Run returns and the queue's retry policy
@@ -106,19 +117,4 @@ type Escalation struct {
 	ToMode       string `json:"to_mode"`
 	FromSpecHash string `json:"from_spec_hash"`
 	Reason       string `json:"reason"`
-}
-
-// NextPrecision returns the escalation ladder's next rung for a canonical
-// mode spelling ("half" → "min" → "mixed" → "full"); ok is false at the top
-// or for an unparsable mode.
-func NextPrecision(mode string) (string, bool) {
-	m, err := precision.Parse(mode)
-	if err != nil {
-		return "", false
-	}
-	next, ok := m.Next()
-	if !ok {
-		return "", false
-	}
-	return strings.ToLower(next.String()), true
 }

@@ -140,7 +140,7 @@ func (s ExperimentSpec) Normalized() (ExperimentSpec, error) {
 		if err != nil {
 			return out, fmt.Errorf("runner: spec: %w", err)
 		}
-		out.Mode = strings.ToLower(mode.String())
+		out.Mode = mode.Name()
 	}
 	if s.Steps <= 0 {
 		return out, fmt.Errorf("runner: spec: steps must be positive, got %d", s.Steps)
@@ -281,7 +281,7 @@ func (s ExperimentSpec) SELFConfig(workers int) (self.Config, error) {
 func CLAMRSpec(mode precision.Mode, cfg clamr.Config, steps, lineCutN int) ExperimentSpec {
 	return ExperimentSpec{
 		App:      AppCLAMR,
-		Mode:     strings.ToLower(mode.String()),
+		Mode:     mode.Name(),
 		Steps:    steps,
 		LineCutN: lineCutN,
 		NX:       cfg.NX, NY: cfg.NY,
@@ -296,7 +296,7 @@ func CLAMRSpec(mode precision.Mode, cfg clamr.Config, steps, lineCutN int) Exper
 func SELFSpec(mode precision.Mode, cfg self.Config, steps, lineCutN int) ExperimentSpec {
 	return ExperimentSpec{
 		App:      AppSELF,
-		Mode:     strings.ToLower(mode.String()),
+		Mode:     mode.Name(),
 		Steps:    steps,
 		LineCutN: lineCutN,
 		Elements: cfg.Elements,

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/precision"
 	"repro/internal/runner"
 	"repro/internal/serve/queue"
 )
@@ -39,34 +40,12 @@ import (
 // The coordinator's VerifyDemotion is the production implementation.
 type VerifyFunc func(ctx context.Context, spec runner.ExperimentSpec) (*runner.Result, bool, error)
 
-// ladder orders the concrete precision modes cheapest-first — the demotion
-// direction, the reverse of precision.Mode's escalation order.
-var ladder = [...]string{"half", "min", "mixed", "full"}
-
-func rank(mode string) int {
-	for i, m := range ladder {
-		if m == mode {
-			return i
-		}
-	}
-	return len(ladder) - 1
-}
-
-// above returns the next more-precise rung ("full" saturates).
-func above(mode string) string {
-	if r := rank(mode); r+1 < len(ladder) {
-		return ladder[r+1]
-	}
-	return "full"
-}
-
-// below returns the next cheaper rung, false at the bottom.
-func below(mode string) (string, bool) {
-	r := rank(mode)
-	if r == 0 {
-		return "", false
-	}
-	return ladder[r-1], true
+// rung places a canonical mode name on precision.Ladder. The table stores
+// names — they are its journal and HTTP form; a name that does not parse
+// lands on full, the safe end.
+func rung(mode string) precision.Mode {
+	m, _ := precision.Parse(mode)
+	return m
 }
 
 // Key derives the scenario-shape key for a spec: the normalized spec with
@@ -162,19 +141,16 @@ func (e *entry) floorRank() int {
 	if e.Floor == "" {
 		return 0
 	}
-	return rank(e.Floor)
+	return rung(e.Floor).Rank()
 }
 
 // recomputeCommitted resets Committed to the cheapest verified mode at or
 // above the floor (full when none).
 func (e *entry) recomputeCommitted() {
 	e.Committed = "full"
-	for _, m := range ladder {
-		if rank(m) < e.floorRank() {
-			continue
-		}
-		if ev, ok := e.Evidence[m]; ok && ev.Verified {
-			e.Committed = m
+	for _, m := range precision.Ladder[e.floorRank():] {
+		if ev, ok := e.Evidence[m.Name()]; ok && ev.Verified {
+			e.Committed = m.Name()
 			return
 		}
 	}
@@ -281,11 +257,9 @@ func (t *Tuner) Resolve(spec runner.ExperimentSpec) (runner.ExperimentSpec, erro
 	if e, ok := t.entries[key]; ok {
 		decision = "full_no_evidence"
 		e.lastMaxMass, e.lastMaxLinf = n.MaxMassError, n.MaxLinecutLinf
-		for _, m := range ladder[:len(ladder)-1] { // cheapest first, full excluded
-			if rank(m) < e.floorRank() {
-				continue
-			}
-			ev, ok := e.Evidence[m]
+		top := len(precision.Ladder) - 1 // cheapest admissible first, full excluded
+		for _, m := range precision.Ladder[e.floorRank():top] {
+			ev, ok := e.Evidence[m.Name()]
 			if !ok || !ev.Verified {
 				continue
 			}
@@ -293,7 +267,7 @@ func (t *Tuner) Resolve(spec runner.ExperimentSpec) (runner.ExperimentSpec, erro
 				decision = "full_budget"
 				continue
 			}
-			mode, decision = m, "demoted"
+			mode, decision = m.Name(), "demoted"
 			break
 		}
 	} else {
@@ -385,10 +359,10 @@ func (t *Tuner) ObserveResult(spec runner.ExperimentSpec, res *runner.Result) {
 	}
 	e.streak++
 	if t.cfg.Verify != nil && !e.probing && e.streak >= e.warmNeed(t.cfg.WarmRuns) {
-		if cand, ok := below(e.Committed); ok && rank(cand) >= e.floorRank() {
-			if !e.Evidence[cand].Verified {
+		if cand, ok := rung(e.Committed).Prev(); ok && cand.Rank() >= e.floorRank() {
+			if !e.Evidence[cand.Name()].Verified {
 				e.probing = true
-				ps := e.Spec.Concrete(cand)
+				ps := e.Spec.Concrete(cand.Name())
 				if e.RefSteps > 0 {
 					ps.Steps = e.RefSteps
 				}
@@ -520,20 +494,20 @@ func (t *Tuner) ObserveEscalation(spec runner.ExperimentSpec, esc runner.Escalat
 	if err != nil {
 		return
 	}
-	failed := esc.FromMode
+	failed := rung(esc.FromMode)
 	t.mu.Lock()
 	e := t.ensureLocked(key, spec.Concrete("full"))
-	newFloor := above(failed)
-	if rank(newFloor) > e.floorRank() {
-		e.Floor = newFloor
+	newFloor, _ := failed.Next() // full saturates
+	if newFloor.Rank() > e.floorRank() {
+		e.Floor = newFloor.Name()
 	}
 	reverted := false
 	for m := range e.Evidence {
-		if m != "full" && rank(m) <= rank(failed) {
+		if m != "full" && rung(m).Rank() <= failed.Rank() {
 			delete(e.Evidence, m)
 		}
 	}
-	if rank(e.Committed) <= rank(failed) {
+	if rung(e.Committed).Rank() <= failed.Rank() {
 		e.recomputeCommitted()
 		reverted = true
 	}
@@ -545,8 +519,8 @@ func (t *Tuner) ObserveEscalation(spec runner.ExperimentSpec, esc runner.Escalat
 	}
 	t.decisions.With("escalated").Inc()
 	t.log.Info("autotune floor raised",
-		obs.Str("app", spec.App), obs.Str("failed_mode", failed),
-		obs.Str("floor", newFloor), obs.Str("reverted", fmt.Sprint(reverted)))
+		obs.Str("app", spec.App), obs.Str("failed_mode", esc.FromMode),
+		obs.Str("floor", newFloor.Name()), obs.Str("reverted", fmt.Sprint(reverted)))
 	t.journalEntry(key)
 }
 

@@ -56,7 +56,9 @@ func NewGenerator(gs GeneratorSpec) (*Generator, error) {
 	case KindLadder:
 		rungs := gs.Rungs
 		if len(rungs) == 0 {
-			rungs = []string{"min", "mixed", "full"}
+			for _, m := range precision.Modes { // the paper's three, in ladder order
+				rungs = append(rungs, m.Name())
+			}
 		}
 		for _, r := range rungs {
 			// "auto" is a valid rung: the scheduler's autotuner resolves it
@@ -70,7 +72,7 @@ func NewGenerator(gs GeneratorSpec) (*Generator, error) {
 			if err != nil {
 				return nil, fmt.Errorf("campaign: ladder rung: %w", err)
 			}
-			g.rungs = append(g.rungs, strings.ToLower(m.String()))
+			g.rungs = append(g.rungs, m.Name())
 		}
 		g.total = int64(len(g.rungs))
 	default:

@@ -1,11 +1,13 @@
 package dispatch
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -28,22 +30,13 @@ type Capabilities struct {
 }
 
 func (c Capabilities) matches(spec runner.ExperimentSpec) bool {
-	if len(c.Apps) > 0 && !containsString(c.Apps, string(spec.App)) {
+	if len(c.Apps) > 0 && !slices.Contains(c.Apps, string(spec.App)) {
 		return false
 	}
-	if len(c.Modes) > 0 && !containsString(c.Modes, spec.Mode) {
+	if len(c.Modes) > 0 && !slices.Contains(c.Modes, spec.Mode) {
 		return false
 	}
 	return true
-}
-
-func containsString(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }
 
 // Wire types shared between the coordinator and cmd/precision-worker.
@@ -644,18 +637,10 @@ func (co *Coordinator) ReplicaSource(hash string) (string, bool) {
 	if len(ids) == 0 {
 		return "", false
 	}
-	sortStrings(ids)
+	slices.Sort(ids)
 	co.rrSeq++
 	ws := holders[ids[co.rrSeq%uint64(len(ids))]]
 	return ws.readAddr + "/replica/" + hash, true
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // HandleRegister implements POST /v1/workers/register.
@@ -960,7 +945,7 @@ func (co *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Error != "" {
 		co.leaseEvents.With("completed").Inc()
-		err := &runner.Error{Kind: kindFromString(req.ErrorKind), Op: "remote run on " + ws.id, Err: errors.New(req.Error)}
+		err := &runner.Error{Kind: runner.ParseKind(req.ErrorKind), Op: "remote run on " + ws.id, Err: errors.New(req.Error)}
 		co.log.Debug("remote attempt failed",
 			obs.Str("lease", l.id), obs.Str("job", a.JobID),
 			obs.Str("kind", req.ErrorKind), obs.Str("error", req.Error))
@@ -1250,31 +1235,8 @@ func (co *Coordinator) HandleList(w http.ResponseWriter, r *http.Request) {
 	}
 	view.ReplicaHashes = len(co.replicas)
 	co.mu.Unlock()
-	sortWorkerViews(view.Workers)
+	slices.SortFunc(view.Workers, func(a, b WorkerView) int { return cmp.Compare(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, view)
-}
-
-func sortWorkerViews(ws []WorkerView) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].ID < ws[j-1].ID; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
-}
-
-// kindFromString parses a worker-reported error classification; anything
-// unrecognized degrades to transient (retried, never silently dropped).
-func kindFromString(s string) runner.Kind {
-	switch s {
-	case "permanent":
-		return runner.KindPermanent
-	case "timeout":
-		return runner.KindTimeout
-	case "numerical":
-		return runner.KindNumerical
-	default:
-		return runner.KindTransient
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

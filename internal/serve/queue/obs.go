@@ -9,17 +9,15 @@ import (
 )
 
 // schedObs is the scheduler's pre-resolved instrument set in a metrics
-// registry. All fields are resolved once at New, so the scheduler's
-// recording sites are plain atomic updates. Nil *schedObs (no registry
-// configured) disables everything via the nil-safe instrument methods.
+// registry (Config.Obs, or a private one when none is configured). All
+// fields are resolved once at New, so the scheduler's recording sites are
+// plain atomic updates.
 type schedObs struct {
-	submitted, dedupHits, cacheHits Counter
-	executed, failed, rejected      Counter
-	retried, escalated, timedOut    Counter
-	abandoned, recovered            Counter
-	requeuedCtr                     Counter
-	poisonedEvt, unpoisonedEvt      Counter
-	poisonedTotal                   Counter
+	// events holds each transition row's precisiond_jobs_total{event}
+	// child — the only count of job traffic, read by /metrics and Stats()
+	// alike. Rows sharing a label share the child; uncounted rows hold a
+	// no-op handle.
+	events [numEvents]obs.Counter
 
 	queueDepth obs.Gauge
 
@@ -41,32 +39,11 @@ type schedObs struct {
 	jobCost   obs.FloatCounterVec // labels: app, mode
 }
 
-// Counter aliases obs.Counter so schedObs reads cleanly.
-type Counter = obs.Counter
-
 // newSchedObs resolves the scheduler's instruments.
 func newSchedObs(r *obs.Registry, s *Scheduler) *schedObs {
 	jobs := r.CounterVec("precisiond_jobs_total",
 		"Scheduler job traffic by event (mirrors /v1/cache/stats).", "event")
 	o := &schedObs{
-		submitted:     jobs.With("submitted"),
-		dedupHits:     jobs.With("dedup_hit"),
-		cacheHits:     jobs.With("cache_hit"),
-		executed:      jobs.With("executed"),
-		failed:        jobs.With("failed"),
-		rejected:      jobs.With("queue_rejected"),
-		retried:       jobs.With("retried"),
-		escalated:     jobs.With("escalated"),
-		timedOut:      jobs.With("timed_out"),
-		abandoned:     jobs.With("abandoned"),
-		recovered:     jobs.With("recovered"),
-		requeuedCtr:   jobs.With("requeued"),
-		poisonedEvt:   jobs.With("poisoned"),
-		unpoisonedEvt: jobs.With("unpoisoned"),
-
-		poisonedTotal: r.Counter("precisiond_jobs_poisoned_total",
-			"Jobs parked as poisoned: the same failure kind on two distinct executors."),
-
 		queueDepth: r.Gauge("precisiond_queue_depth",
 			"Jobs admitted but not yet placed on a backend."),
 
@@ -102,6 +79,20 @@ func newSchedObs(r *obs.Registry, s *Scheduler) *schedObs {
 		jobCost: r.FloatCounterVec("precisiond_job_cost_dollars_total",
 			"Modeled cloud cost of completed jobs (compute + checkpoint storage).", "app", "mode"),
 	}
+	for ev, row := range transitions {
+		if row.counter != "" {
+			o.events[ev] = jobs.With(row.counter)
+		}
+	}
+	poisoned := o.events[evPoisoned]
+	r.Collect(func(emit func(obs.Sample)) {
+		emit(obs.Sample{
+			Name:  "precisiond_jobs_poisoned_total",
+			Help:  "Jobs parked as poisoned: the same failure kind on two distinct executors.",
+			Type:  "counter",
+			Value: float64(poisoned.Value()),
+		})
+	})
 	r.Gauge("precisiond_workers", "Configured concurrent job executors.").Set(int64(s.cfg.Workers))
 	r.Gauge("precisiond_lanes_per_worker", "Solver lanes handed to each running job.").Set(int64(s.lanes))
 	return o
@@ -110,9 +101,6 @@ func newSchedObs(r *obs.Registry, s *Scheduler) *schedObs {
 // observeResultCounters streams a completed run's metrics.Counters into the
 // aggregate exposition counters.
 func (o *schedObs) observeResultCounters(c metrics.Counters) {
-	if o == nil {
-		return
-	}
 	o.runFlops.With("16").Add(c.Flops16)
 	o.runFlops.With("32").Add(c.Flops32)
 	o.runFlops.With("64").Add(c.Flops64)
@@ -129,9 +117,6 @@ func (o *schedObs) observeResultCounters(c metrics.Counters) {
 // observeEnergy accumulates a completed job's modeled energy/cost into the
 // fleet-facing exposition counters.
 func (o *schedObs) observeEnergy(app, mode string, e *runner.Energy) {
-	if o == nil || e == nil {
-		return
-	}
 	o.jobJoules.With(app, mode).Add(e.Joules)
 	o.jobCost.With(app, mode).Add(e.CostDollars)
 }

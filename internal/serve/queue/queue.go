@@ -4,40 +4,24 @@
 // placement to internal/serve/dispatch.
 //
 // Admission order: a submitted spec is (1) collapsed onto an identical
-// queued-or-running job if one exists (singleflight — concurrent duplicate
-// sweeps cost one computation), else (2) answered from the content-
-// addressed result cache, else (3) journaled (when a Journal is
-// configured; the write-ahead record lands before the submission is
-// acknowledged, so an acked job survives a crash), else (4) admitted,
-// bounded — a full queue rejects with ErrQueueFull rather than buffering
-// unboundedly.
+// queued-or-running job if one exists (singleflight), else (2) answered
+// from the content-addressed result cache, else (3) journaled before the
+// submission is acknowledged, else (4) admitted, bounded — a full queue
+// rejects with ErrQueueFull rather than buffering unboundedly.
 //
 // Execution: each admitted job gets a policy goroutine that offers one
-// attempt at a time to the dispatch board. In the single-node default the
-// only backend is dispatch.Local — Workers attempts run concurrently, each
-// with an equal share of the machine's parallel lanes (GOMAXPROCS /
-// Workers), exactly the pre-dispatch behavior. With a shared dispatcher
-// (precisiond), remote precision-worker nodes lease attempts off the same
-// board; capability-aware placement keeps checkpoint resumes local and
-// spreads everything else. Worker counts and placement never change
-// results (DESIGN.md §5), only latency.
-//
-// Fault tolerance (DESIGN.md §7): each attempt runs under the job's
-// deadline; failures are classified by runner.Classify — transient errors
-// retry with capped exponential backoff, numerical-guard aborts re-run the
-// spec one precision rung up (recording the escalation in the result),
-// timeouts and permanent errors fail immediately so their lanes go to the
-// next queued job. A remote lease that expires (missed heartbeats, a
-// SIGKILL'd worker) re-queues the attempt under the job's original ID
-// without consuming retry budget. Recover replays journaled jobs after a
-// crash, resuming started ones from their latest periodic checkpoint when
-// one exists.
+// attempt at a time to the dispatch board, classifies the outcome and
+// raises the matching row of the transition table (transition.go). Every
+// state change — its journal record, precisiond_jobs_total{event} count,
+// trace event and log line — goes through Scheduler.emit and nowhere else;
+// DESIGN.md §7 carries the table as the single reference for the
+// lifecycle, retry, escalation, requeue and poison rules.
 package queue
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -117,7 +101,7 @@ type Job struct {
 	cached      bool
 	recovered   bool
 	tryResume   bool
-	everPlaced  bool
+	waiting     bool // counted in Scheduler.waiting: enqueued, no backend yet
 	backend     string
 	flow        string
 	timeout     time.Duration
@@ -134,8 +118,8 @@ type Job struct {
 	savedJoules    float64
 	savedDollars   float64
 	// done closes at each terminal state; doneClosed guards the close so
-	// finish stays idempotent. RetryPoisoned swaps in a fresh channel when
-	// it revives a parked job, so Done() reads under the lock.
+	// finish stays idempotent. Re-enqueueing a parked job swaps in a fresh
+	// channel, so Done() reads under the lock.
 	done       chan struct{}
 	doneClosed bool
 	// poisonSeen tracks, per failure kind, the distinct executors
@@ -145,7 +129,8 @@ type Job struct {
 
 	// trace is the job's span timeline, recorded from admission to the
 	// terminal state (obs.Trace is internally synchronized). queueSpan and
-	// enqueuedAt are written under s.mu before the policy goroutine starts.
+	// enqueuedAt are written by enqueueLocked before the policy goroutine
+	// starts.
 	trace      *obs.Trace
 	queueSpan  obs.Span
 	enqueuedAt time.Time
@@ -359,10 +344,11 @@ type Config struct {
 	// then be leased by a remote worker (precisiond -workers 0). Requires
 	// a Dispatch carrying a fleet coordinator.
 	DisableLocal bool
-	// Obs, when non-nil, registers the scheduler's instruments (job
+	// Obs, when non-nil, is the registry the scheduler's instruments (job
 	// counters, queue-wait/run-duration histograms, journal fsync latency,
-	// worker/lane gauges, the queue-depth gauge) into the registry. Job
-	// traces are recorded regardless — they are per-job, not per-registry.
+	// worker/lane gauges, the queue-depth gauge) are served from; nil keeps
+	// them in a private registry that only Stats() reads. Job traces are
+	// recorded regardless — they are per-job, not per-registry.
 	Obs *obs.Registry
 	// Log, when non-nil, receives job-correlated structured log records.
 	Log *obs.Logger
@@ -436,15 +422,9 @@ type Scheduler struct {
 	nextID   uint64
 	waiting  int // admitted jobs not yet placed on a backend (the queue depth)
 
-	submitted, dedupHits, cacheHits uint64
-	executed, failed, rejected      uint64
-	retried, escalated, timedOut    uint64
-	abandoned, recovered, requeued  uint64
-	poisoned, unpoisoned            uint64
-
-	// obs mirrors the counters above into the metrics registry (a zero-value
-	// schedObs when none is configured — every handle no-ops). log is the
-	// structured logger (nil-safe).
+	// obs holds the scheduler's instruments — among them the per-event
+	// counters that are the only record of job traffic, so Stats() and
+	// /metrics cannot disagree. log is the structured logger (nil-safe).
 	obs *schedObs
 	log *obs.Logger
 
@@ -487,14 +467,15 @@ func New(cfg Config) *Scheduler {
 		started:  make(chan struct{}),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
-		obs:      &schedObs{},
 		log:      cfg.Log,
 	}
-	if cfg.Obs != nil {
-		s.obs = newSchedObs(cfg.Obs, s)
-		if cfg.Journal != nil {
-			cfg.Journal.setFsyncHist(s.obs.fsync)
-		}
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry() // private: Stats() still has its counters
+	}
+	s.obs = newSchedObs(reg, s)
+	if cfg.Journal != nil {
+		cfg.Journal.setFsyncHist(s.obs.fsync)
 	}
 	s.disp = cfg.Dispatch
 	if s.disp == nil {
@@ -571,13 +552,11 @@ func (s *Scheduler) runJob(job *Job) {
 	s.execute(s.runCtx, job)
 }
 
-// jobPlaced records that a backend took one of the job's attempts: the
-// queue_wait span closes on the first-ever placement, the queue-depth
-// gauge drops, and the view shows where the attempt landed.
+// jobPlaced records that a backend took one of the job's attempts: the view
+// shows where it landed, and the first placement moves the job to running
+// (the queue-depth gauge drops, the queue-wait histogram observes it).
 func (s *Scheduler) jobPlaced(job *Job, att obs.Span, backend, worker string, wait time.Duration) {
-	label := backend
 	if worker != "" {
-		label = backend + "/" + worker
 		// Remote placements record the lease wait retroactively (local
 		// placements add no span — the local timeline is pinned by tests
 		// and dashboards).
@@ -587,53 +566,30 @@ func (s *Scheduler) jobPlaced(job *Job, att obs.Span, backend, worker string, wa
 		att.Annotate(obs.Str("backend", backend))
 	}
 	job.mu.Lock()
-	first := !job.everPlaced
-	job.everPlaced = true
-	if job.status == StatusQueued {
-		job.status = StatusRunning
-	}
-	job.backend = label
+	job.backend = placement(backend, worker)
 	job.mu.Unlock()
-	if first {
-		if !job.enqueuedAt.IsZero() {
-			s.obs.queueWait.ObserveSince(job.enqueuedAt)
-		}
-		s.decWaiting()
+	s.emit(job, evPlaced, detail{})
+}
+
+// placement labels where an attempt ran: "local", or "fleet/worker-NNN".
+func placement(backend, worker string) string {
+	if worker == "" {
+		return backend
 	}
+	return backend + "/" + worker
 }
 
-// releaseNeverPlaced balances the waiting counter for a job that reaches a
-// terminal state without any backend ever taking it (shutdown, recovery
-// overflow). Idempotent with jobPlaced via everPlaced.
-func (s *Scheduler) releaseNeverPlaced(job *Job) {
-	job.mu.Lock()
-	first := !job.everPlaced
-	job.everPlaced = true
-	job.mu.Unlock()
-	if first {
-		job.queueSpan.End()
-		s.decWaiting()
-	}
-}
+// shutdownMsg is the Error of a job the stopping scheduler gave up on.
+const shutdownMsg = "scheduler shut down before completion; the job will be recovered from the journal"
 
-func (s *Scheduler) decWaiting() {
-	s.mu.Lock()
-	s.waiting--
-	w := s.waiting
-	s.mu.Unlock()
-	s.obs.queueDepth.Set(int64(w))
-}
-
-// execute drives one job to a terminal state: offer an attempt to the
-// dispatch board, classify the outcome, then retry / escalate / requeue /
-// fail per the policy in the package comment. Every phase lands in the
-// job's trace: the queue_wait span closes at first placement, each attempt
-// gets a span (with its backend and outcome and, on success, the solver's
-// phase aggregates), backoffs, escalations and lease-expiry requeues are
-// recorded as they happen.
+// execute is one job's policy loop: run an attempt, classify its outcome
+// into a verdict, raise the verdict's transition, and — while that leaves
+// the job live — set up the next attempt the way the verdict says. Every
+// phase lands in the job's trace: the queue_wait span closes when the first
+// attempt is offered, each attempt gets a span (with its backend and outcome
+// and, on success, the solver's phase aggregates), backoffs are spans and
+// everything else is an event of the raised row.
 func (s *Scheduler) execute(ctx context.Context, job *Job) {
-	jl := s.log.With(obs.Str("job", job.ID))
-
 	spec := job.Spec
 	if esc := job.escalationsCopy(); len(esc) > 0 {
 		spec.Mode = esc[len(esc)-1].ToMode // recovered job resumes at its rung
@@ -643,249 +599,228 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) {
 	if job.tryResume {
 		resume = s.loadCheckpoint(job.ID)
 	}
-	timeout := job.timeout
+	timeout := cmp.Or(job.timeout, s.cfg.JobTimeout)
 	job.mu.Unlock()
-	if timeout == 0 {
-		timeout = s.cfg.JobTimeout
-	}
 
-	attempt := 0
-	for {
-		if ctx.Err() != nil {
-			s.shutdownFinish(job)
+	for retries := 0; ctx.Err() == nil; {
+		att, out := s.attempt(ctx, job, spec, resume, timeout)
+		if out.Err == nil {
+			s.succeed(job, att, spec, out)
 			return
-		}
-		if s.cfg.Journal != nil {
-			// A failed Started append is tolerated: it only widens the
-			// resume window (SyncErr degrades /healthz regardless).
-			_ = s.cfg.Journal.Started(job.ID, spec.Mode)
-		}
-		req := RunRequest{
-			Spec:            spec,
-			Lanes:           s.lanes,
-			Progress:        job.progress,
-			CheckpointEvery: s.cfg.CheckpointEvery,
-			CheckpointSink:  s.checkpointSink(job.ID),
-		}
-		usedResume := resume != nil
-		if usedResume {
-			req.Resume = bytes.NewReader(resume)
-		}
-		n := job.attempts.Add(1)
-		attAttrs := []obs.Attr{obs.Str("mode", spec.Mode), intAttr("n", n)}
-		if usedResume {
-			attAttrs = append(attAttrs, obs.Str("resume", "checkpoint"))
-		}
-		// The queue_wait span closes when the first attempt is offered to the
-		// board (idempotent on retries); any further wait — a busy local
-		// slot, no eligible remote worker — lands inside the attempt span
-		// (as a lease_wait child for remote placements). The queue-wait
-		// histogram and depth gauge track actual placement instead.
-		job.queueSpan.End()
-		att := job.trace.Root().Child("attempt", attAttrs...)
-		jl.Debug("attempt start", obs.Str("mode", spec.Mode), intAttr("n", n))
-		started := time.Now()
-		hedgeEvents, hedgeTrace := hedgeRecorders(job)
-		a := &dispatch.Attempt{
-			JobID:     job.ID,
-			Spec:      spec,
-			N:         n,
-			LocalOnly: usedResume, // a checkpoint resume reads local state
-			Run:       func(rc context.Context) (*runner.Result, error) { return s.cfg.Run(rc, req) },
-			Progress:  job.progress,
-			OnPlaced: func(backend, worker string, wait time.Duration) {
-				s.jobPlaced(job, att, backend, worker, wait)
-			},
-			OnHedge:            hedgeEvents,
-			OnWorkerTrace:      workerTraceRecorder(att),
-			OnHedgeWorkerTrace: hedgeTrace,
-		}
-		out := s.runAttempt(ctx, a, timeout)
-		s.obs.runDur.With(string(spec.App), spec.Mode).ObserveSince(started)
-		if out.Abandoned {
-			s.mu.Lock()
-			s.abandoned++
-			s.mu.Unlock()
-			s.obs.abandoned.Inc()
-		}
-		res, err := out.Res, out.Err
-		if err == nil {
-			for _, p := range res.Phases {
-				att.AggregateChild("phase:"+p.Name, time.Duration(p.Seconds*float64(time.Second)))
-			}
-			// Energy accounting: remote uploads arrive already priced (the
-			// coordinator applies the executing worker's registered profile);
-			// the configured fallback covers local-backend runs. Either way
-			// the figures derive from the deterministic counters, so they
-			// ride as span attributes and metrics without perturbing the
-			// result hash.
-			if res.Energy == nil && s.cfg.Energy != nil {
-				res.Energy = s.cfg.Energy(out.Backend, out.Worker, res)
-			}
-			if e := res.Energy; e != nil {
-				att.Annotate(obs.Str("arch", e.Arch),
-					obs.Str("joules", formatEnergy(e.Joules)),
-					obs.Str("cost_dollars", formatEnergy(e.CostDollars)))
-				s.obs.observeEnergy(string(spec.App), spec.Mode, e)
-			}
-			att.Annotate(obs.Str("outcome", "ok"))
-			att.End()
-			res.Escalations = job.escalationsCopy()
-			res.Trace = finishTrace(job, "done")
-			s.obs.observeResultCounters(res.Counters)
-			payload, merr := json.Marshal(res)
-			if merr != nil {
-				err = &runner.Error{Kind: runner.KindPermanent, Op: "marshal result", Err: merr}
-			} else {
-				jl.Info("job done",
-					obs.Str("mode", spec.Mode), intAttr("attempts", n),
-					obs.Str("backend", out.Backend+backendWorkerSuffix(out.Worker)),
-					obs.Str("wall", time.Since(job.enqueuedAt).Round(time.Millisecond).String()))
-				if s.cfg.Tuner != nil {
-					// Every executed result is fleet evidence: full runs
-					// refresh the shape's fidelity reference and savings
-					// baseline, demoted runs fold their measured fidelity in
-					// and may warm the next demotion probe.
-					s.cfg.Tuner.ObserveResult(spec, res)
-					if sj, sd, ok := s.cfg.Tuner.Savings(spec, res); ok {
-						job.mu.Lock()
-						job.savedJoules, job.savedDollars = sj, sd
-						job.mu.Unlock()
-					}
-				}
-				s.complete(job, payload)
-				if s.cfg.OnComplete != nil {
-					s.cfg.OnComplete(job, res)
-				}
-				return
-			}
 		}
 		if ctx.Err() != nil {
 			att.Annotate(obs.Str("outcome", "shutdown"))
 			att.End()
-			s.shutdownFinish(job)
-			return
+			break
 		}
-		if errors.Is(err, dispatch.ErrLeaseExpired) {
-			// A placement failure, not a run failure: the worker died or
-			// went silent mid-lease. Re-offer the attempt under the job's
-			// original ID without consuming retry budget — the journal's
-			// admission record still owns the job, so a crash here replays
-			// it exactly as before.
-			att.Annotate(obs.Str("outcome", "lease_expired"), obs.Str("error", err.Error()))
-			att.End()
-			s.mu.Lock()
-			s.requeued++
-			s.mu.Unlock()
-			s.obs.requeuedCtr.Inc()
-			job.trace.Root().Event("requeued", obs.Str("cause", err.Error()))
-			jl.Warn("lease expired; requeueing attempt", obs.Str("error", err.Error()))
-			continue
-		}
-		kind := runner.Classify(err)
-		att.Annotate(obs.Str("outcome", kind.String()), obs.Str("error", err.Error()))
+		v := s.classify(job, spec, resume != nil, retries, out)
+		att.Annotate(obs.Str("outcome", v.outcome), obs.Str("error", out.Err.Error()))
 		att.End()
-		if usedResume {
-			// A checkpoint that fails to resume (corrupt, stale rung) is
-			// discarded and the job retried from the initial condition; this
-			// happens at most once and does not consume the retry budget.
-			jl.Warn("checkpoint resume failed; restarting from the initial condition",
-				obs.Str("error", err.Error()))
-			job.trace.Root().Event("resume_discarded", obs.Str("error", err.Error()))
+		s.emit(job, v.ev, v.d)
+		switch v.ev {
+		case evRequeued:
+			// Re-offer under the job's original ID: the journal's admission
+			// record still owns the job, so a crash here replays it as before.
+		case evResumeDiscarded:
+			// At most once, and outside the retry budget.
 			resume = nil
 			s.removeCheckpoint(job.ID)
-			continue
-		}
-		switch kind {
-		case runner.KindNumerical:
-			next, ok := runner.NextPrecision(spec.Mode)
-			if !ok {
-				s.fail(job, fmt.Errorf("numerical failure at top precision rung: %w", err))
-				return
-			}
-			failedHash, herr := spec.Hash()
-			if herr != nil {
-				failedHash = job.SpecHash
-			}
-			esc := runner.Escalation{
-				FromMode:     spec.Mode,
-				ToMode:       next,
-				FromSpecHash: failedHash,
-				Reason:       err.Error(),
-			}
-			job.addEscalation(esc)
-			s.mu.Lock()
-			s.escalated++
-			s.mu.Unlock()
-			s.obs.escalated.Inc()
-			job.trace.Root().Event("escalation",
-				obs.Str("from", esc.FromMode), obs.Str("to", esc.ToMode),
-				obs.Str("reason", esc.Reason))
-			jl.Warn("numerical failure; escalating precision",
-				obs.Str("from", esc.FromMode), obs.Str("to", esc.ToMode),
-				obs.Str("reason", esc.Reason))
-			if s.cfg.Journal != nil {
-				_ = s.cfg.Journal.Escalated(job.ID, esc)
-			}
+		case evEscalated:
+			job.addEscalation(*v.d.esc)
 			if s.cfg.Tuner != nil {
-				// Feed the failure into the autotune table while spec still
-				// names the failing mode: the floor rises above it and any
-				// committed demotion at or below it reverts.
-				s.cfg.Tuner.ObserveEscalation(spec, esc)
+				// Fed while spec still names the failing mode: the table's
+				// floor rises above it and any committed demotion at or
+				// below it reverts.
+				s.cfg.Tuner.ObserveEscalation(spec, *v.d.esc)
 			}
-			spec.Mode = next
-			attempt = 0 // fresh retry budget at the new rung
+			spec.Mode = v.d.esc.ToMode
+			retries = 0 // fresh retry budget at the new rung
 			s.removeCheckpoint(job.ID)
-			continue
-		case runner.KindTransient:
-			// A "transient" failure that reproduces with the same kind on two
-			// distinct executors is not the environment's fault — it is the
-			// job. Park it as poisoned instead of burning the rest of the
-			// retry budget (and any future fleet capacity) on it.
-			exec := out.Worker
-			if exec == "" {
-				exec = out.Backend
-			}
-			if exec == "" {
-				exec = "local"
-			}
-			if job.notePoisonExecutor(kind.String(), exec) >= 2 {
-				s.poison(job, err)
-				return
-			}
-			attempt++
-			if attempt >= s.cfg.Retry.MaxAttempts {
-				s.fail(job, fmt.Errorf("gave up after %d attempts: %w", attempt, err))
-				return
-			}
-			s.mu.Lock()
-			s.retried++
-			s.mu.Unlock()
-			s.obs.retried.Inc()
-			backoff := s.cfg.Retry.backoff(attempt)
-			jl.Warn("transient failure; retrying",
-				intAttr("retry", int64(attempt)), obs.Str("backoff", backoff.String()),
-				obs.Str("error", err.Error()))
-			b := job.trace.Root().Child("backoff", intAttr("retry", int64(attempt)))
-			ok := sleepCtx(ctx, backoff)
+		case evRetried:
+			retries++
+			b := job.trace.Root().Child("backoff", intAttr("retry", int64(retries)))
+			sleepCtx(ctx, v.backoff)
 			b.End()
-			if !ok {
-				s.shutdownFinish(job)
-				return
-			}
-			continue
-		case runner.KindTimeout:
-			s.mu.Lock()
-			s.timedOut++
-			s.mu.Unlock()
-			s.obs.timedOut.Inc()
-			s.fail(job, err)
+		case evTimedOut:
+			// The budget was the contract: no retry, the lane goes to the
+			// next queued job.
+			s.emit(job, evFailed, v.d)
 			return
-		default: // KindPermanent
-			s.fail(job, err)
-			return
+		default:
+			return // terminal: failed or poisoned
 		}
 	}
+	s.emit(job, evShutdown, detail{err: shutdownMsg})
+}
+
+// attempt offers one attempt to the dispatch board under the job deadline
+// and blocks for its outcome. Abandonment (a local run ignoring
+// cancellation past the grace) and lease expiry (a remote worker going
+// silent) both surface as error outcomes for classify.
+func (s *Scheduler) attempt(ctx context.Context, job *Job, spec runner.ExperimentSpec, resume []byte, timeout time.Duration) (obs.Span, dispatch.Outcome) {
+	n := job.attempts.Add(1)
+	attrs := []obs.Attr{obs.Str("mode", spec.Mode), intAttr("n", n)}
+	// A failed started append is tolerated: it only widens the resume
+	// window (SyncErr degrades /healthz regardless).
+	s.emit(job, evAttempt, detail{mode: spec.Mode, attrs: attrs})
+	req := RunRequest{
+		Spec:            spec,
+		Lanes:           s.lanes,
+		Progress:        job.progress,
+		CheckpointEvery: s.cfg.CheckpointEvery,
+		CheckpointSink:  s.checkpointSink(job.ID),
+	}
+	if resume != nil {
+		req.Resume = bytes.NewReader(resume)
+		attrs = append(attrs, obs.Str("resume", "checkpoint"))
+	}
+	// The queue_wait span closes when the first attempt is offered to the
+	// board (idempotent on retries); any further wait — a busy local slot,
+	// no eligible remote worker — lands inside the attempt span (as a
+	// lease_wait child for remote placements). The queue-wait histogram and
+	// depth gauge track actual placement instead.
+	job.queueSpan.End()
+	att := job.trace.Root().Child("attempt", attrs...)
+	hedgeEvents, hedgeTrace := hedgeRecorders(job)
+	a := &dispatch.Attempt{
+		JobID:     job.ID,
+		Spec:      spec,
+		N:         n,
+		LocalOnly: resume != nil, // a checkpoint resume reads local state
+		Run:       func(rc context.Context) (*runner.Result, error) { return s.cfg.Run(rc, req) },
+		Progress:  job.progress,
+		OnPlaced: func(backend, worker string, wait time.Duration) {
+			s.jobPlaced(job, att, backend, worker, wait)
+		},
+		OnHedge:            hedgeEvents,
+		OnWorkerTrace:      workerTraceRecorder(att),
+		OnHedgeWorkerTrace: hedgeTrace,
+	}
+	var runCtx context.Context
+	var cancel context.CancelFunc
+	if timeout > 0 {
+		runCtx, cancel = context.WithTimeout(ctx, timeout)
+	} else {
+		runCtx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
+	started := time.Now()
+	out := s.disp.Do(runCtx, a)
+	s.obs.runDur.With(string(spec.App), spec.Mode).ObserveSince(started)
+	if out.Abandoned {
+		s.emit(job, evAbandoned, detail{})
+	}
+	return att, out
+}
+
+// succeed publishes a completed attempt: the solver's phase aggregates and
+// modeled energy land on the attempt span, the result feeds the exposition
+// counters and the autotuner, and the executed transition seals, caches,
+// journals and finishes the job.
+func (s *Scheduler) succeed(job *Job, att obs.Span, spec runner.ExperimentSpec, out dispatch.Outcome) {
+	res := out.Res
+	for _, p := range res.Phases {
+		att.AggregateChild("phase:"+p.Name, time.Duration(p.Seconds*float64(time.Second)))
+	}
+	// Energy accounting: remote uploads arrive already priced (the
+	// coordinator applies the executing worker's registered profile); the
+	// configured fallback covers local-backend runs. Either way the figures
+	// derive from the deterministic counters, so they ride as span
+	// attributes and metrics without perturbing the result hash.
+	if res.Energy == nil && s.cfg.Energy != nil {
+		res.Energy = s.cfg.Energy(out.Backend, out.Worker, res)
+	}
+	if e := res.Energy; e != nil {
+		att.Annotate(obs.Str("arch", e.Arch),
+			obs.Str("joules", formatEnergy(e.Joules)),
+			obs.Str("cost_dollars", formatEnergy(e.CostDollars)))
+		s.obs.observeEnergy(string(spec.App), spec.Mode, e)
+	}
+	att.Annotate(obs.Str("outcome", "ok"))
+	att.End()
+	res.Escalations = job.escalationsCopy()
+	s.obs.observeResultCounters(res.Counters)
+	if s.cfg.Tuner != nil {
+		// Every executed result is fleet evidence: full runs refresh the
+		// shape's fidelity reference and savings baseline, demoted runs fold
+		// their measured fidelity in and may warm the next demotion probe.
+		s.cfg.Tuner.ObserveResult(spec, res)
+		if sj, sd, ok := s.cfg.Tuner.Savings(spec, res); ok {
+			job.mu.Lock()
+			job.savedJoules, job.savedDollars = sj, sd
+			job.mu.Unlock()
+		}
+	}
+	err := s.emit(job, evExecuted, detail{res: res, attrs: []obs.Attr{
+		obs.Str("mode", spec.Mode), intAttr("attempts", job.attempts.Load()),
+		obs.Str("backend", placement(out.Backend, out.Worker)),
+		obs.Str("wall", time.Since(job.enqueuedAt).Round(time.Millisecond).String()),
+	}})
+	if err == nil && s.cfg.OnComplete != nil {
+		s.cfg.OnComplete(job, res)
+	}
+}
+
+// verdict is what the failure policy makes of one failed attempt.
+type verdict struct {
+	outcome string        // the attempt span's outcome attr
+	ev      event         // the transition to raise
+	d       detail        // … and its particulars
+	backoff time.Duration // evRetried: the wait before the next attempt
+}
+
+// classify is the failure policy (DESIGN.md §7): a lease expiry re-offers
+// the attempt; a checkpoint that would not resume (corrupt, stale rung) is
+// discarded; a numerical-guard abort climbs the precision ladder until its
+// top; a transient failure retries under the per-rung budget unless it
+// reproduces with the same kind on two distinct executors — that convicts
+// the job, not the environment, and parks it rather than burning the rest
+// of the budget (and any future fleet capacity) on it; timeouts and
+// permanent errors fail at once, so their lanes go to the next queued job.
+func (s *Scheduler) classify(job *Job, spec runner.ExperimentSpec, resumed bool, retries int, out dispatch.Outcome) verdict {
+	msg := out.Err.Error()
+	if errors.Is(out.Err, dispatch.ErrLeaseExpired) {
+		// A placement failure, not a run failure: the worker died or went
+		// silent mid-lease.
+		return verdict{outcome: "lease_expired", ev: evRequeued, d: detail{attrs: []obs.Attr{obs.Str("cause", msg)}}}
+	}
+	kind := runner.Classify(out.Err)
+	v := verdict{outcome: kind.String(), ev: evFailed, d: detail{err: msg}}
+	switch {
+	case resumed:
+		v.ev = evResumeDiscarded
+	case kind == runner.KindNumerical:
+		mode, _ := spec.PrecisionMode()
+		next, ok := mode.Next()
+		if !ok {
+			v.d.err = "numerical failure at top precision rung: " + msg
+			break
+		}
+		failedHash, err := spec.Hash()
+		if err != nil {
+			failedHash = job.SpecHash
+		}
+		esc := &runner.Escalation{FromMode: spec.Mode, ToMode: next.Name(), FromSpecHash: failedHash, Reason: msg}
+		v.ev = evEscalated
+		v.d = detail{esc: esc, attrs: []obs.Attr{
+			obs.Str("from", esc.FromMode), obs.Str("to", esc.ToMode), obs.Str("reason", esc.Reason)}}
+	case kind == runner.KindTransient:
+		executor := cmp.Or(out.Worker, out.Backend, "local")
+		if job.notePoisonExecutor(kind.String(), executor) >= 2 {
+			v.ev = evPoisoned
+			break
+		}
+		if retries+1 >= s.cfg.Retry.MaxAttempts {
+			v.d.err = fmt.Sprintf("gave up after %d attempts: %s", retries+1, msg)
+			break
+		}
+		v.ev = evRetried
+		v.backoff = s.cfg.Retry.backoff(retries + 1)
+		v.d.attrs = []obs.Attr{intAttr("retry", int64(retries+1)), obs.Str("backoff", v.backoff.String())}
+	case kind == runner.KindTimeout:
+		v.ev = evTimedOut
+	}
+	return v
 }
 
 // workerTraceRecorder grafts a remote executor's shipped span timeline
@@ -954,177 +889,30 @@ func formatEnergy(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-func backendWorkerSuffix(worker string) string {
-	if worker == "" {
-		return ""
-	}
-	return "/" + worker
-}
-
-// finishTrace closes the job's root span with a terminal status and returns
-// the frozen timeline for embedding in the result payload.
-func finishTrace(job *Job, status string) *obs.TraceData {
-	root := job.trace.Root()
-	root.Annotate(obs.Str("status", status))
-	root.End()
-	td := job.trace.Snapshot()
-	return &td
-}
-
-// runAttempt offers one attempt to the dispatch board under the job
-// deadline and blocks for its outcome. Abandonment (a local run ignoring
-// cancellation past the grace) and lease expiry (a remote worker going
-// silent) both surface as error outcomes for the policy loop to classify.
-func (s *Scheduler) runAttempt(ctx context.Context, a *dispatch.Attempt, timeout time.Duration) dispatch.Outcome {
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, timeout)
-	} else {
-		runCtx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-	return s.disp.Do(runCtx, a)
-}
-
-// complete finishes a job successfully: cache the payload under the
-// originally submitted spec hash (Put precedes the journal's done record,
-// so a crash between the two is healed by Recover's cache probe), journal
-// completion, drop the periodic checkpoint.
-func (s *Scheduler) complete(job *Job, payload []byte) {
-	if s.cfg.Cache != nil {
-		// A put failure only costs a future recompute; the job still
-		// completes (the cache's error counter records it).
-		_ = s.cfg.Cache.Put(job.SpecHash, payload)
-	}
-	if s.cfg.Journal != nil {
-		_ = s.cfg.Journal.Done(job.ID)
-	}
-	s.removeCheckpoint(job.ID)
-	s.mu.Lock()
-	delete(s.inflight, job.SpecHash)
-	s.executed++
-	s.mu.Unlock()
-	s.obs.executed.Inc()
-	job.finish(StatusDone, payload, "")
-}
-
-// fail finishes a job terminally: the failure is journaled so it is not
-// replayed on the next boot.
-func (s *Scheduler) fail(job *Job, err error) {
-	if s.cfg.Journal != nil {
-		_ = s.cfg.Journal.Failed(job.ID, err.Error())
-	}
-	s.removeCheckpoint(job.ID)
-	s.releaseNeverPlaced(job)
-	s.mu.Lock()
-	delete(s.inflight, job.SpecHash)
-	s.failed++
-	s.mu.Unlock()
-	s.obs.failed.Inc()
-	job.trace.Root().Annotate(obs.Str("status", "failed"), obs.Str("error", err.Error()))
-	job.trace.Root().End()
-	s.log.Error("job failed", obs.Str("job", job.ID), obs.Str("error", err.Error()))
-	job.finish(StatusFailed, nil, err.Error())
-}
-
-// poison parks a job whose transient failure reproduced with the same
-// runner.Error kind on two distinct executors: different machines failing
-// identically convict the spec, not the environment. The job is journaled
-// poisoned (replay-safe: a restart re-parks it without re-running), keeps
-// its inflight-map entry so duplicate submissions dedup onto the parked
-// record instead of re-running a known-bad spec, and waits for an operator
-// release (DELETE /v1/jobs/{id} → RetryPoisoned). Unlike fail, the trace
-// root stays open: a revived job continues the same timeline.
-func (s *Scheduler) poison(job *Job, err error) {
-	if s.cfg.Journal != nil {
-		_ = s.cfg.Journal.Poisoned(job.ID, err.Error())
-	}
-	s.removeCheckpoint(job.ID)
-	s.releaseNeverPlaced(job)
-	s.mu.Lock()
-	s.poisoned++
-	s.mu.Unlock()
-	s.obs.poisonedEvt.Inc()
-	s.obs.poisonedTotal.Inc()
-	job.trace.Root().Event("poisoned", obs.Str("error", err.Error()))
-	job.trace.Root().Annotate(obs.Str("status", "poisoned"))
-	s.log.Error("job poisoned; parked pending operator release",
-		obs.Str("job", job.ID), obs.Str("error", err.Error()))
-	job.finish(StatusPoisoned, nil, err.Error())
-}
-
 // RetryPoisoned releases a poisoned job back onto the queue with a fresh
 // retry budget and a clean executor-failure ledger. The release is
 // journaled before the job becomes runnable so a crash between the two
 // re-parks rather than silently re-runs. ErrUnknownJob / ErrNotPoisoned
 // report a bad target; a journal append failure leaves the job parked.
 func (s *Scheduler) RetryPoisoned(id string) error {
+	// s.mu serializes releases: the second of two concurrent ones finds the
+	// job already queued.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
-	s.mu.Unlock()
 	if !ok {
 		return ErrUnknownJob
 	}
-
-	// Claim the job under its lock so two concurrent releases cannot both
-	// revive it; revert the claim if the journal refuses the release.
 	job.mu.Lock()
-	if job.status != StatusPoisoned {
-		job.mu.Unlock()
+	parked := job.status == StatusPoisoned
+	job.mu.Unlock()
+	if !parked {
 		return ErrNotPoisoned
 	}
-	job.status = StatusQueued
-	job.mu.Unlock()
-	if s.cfg.Journal != nil {
-		if jerr := s.cfg.Journal.Unpoisoned(id); jerr != nil {
-			job.mu.Lock()
-			job.status = StatusPoisoned
-			job.mu.Unlock()
-			return fmt.Errorf("queue: journal release: %w", jerr)
-		}
+	if err := s.emit(job, evUnpoisoned, detail{}); err != nil {
+		return fmt.Errorf("queue: journal release: %w", err)
 	}
-
-	job.mu.Lock()
-	job.done = make(chan struct{})
-	job.doneClosed = false
-	job.errMsg = ""
-	job.result = nil
-	job.poisonSeen = nil
-	job.everPlaced = false
-	job.tryResume = false
-	job.mu.Unlock()
-
-	job.trace.Root().Event("unpoisoned")
-	job.queueSpan = job.trace.Root().Child("queue_wait")
-	job.enqueuedAt = time.Now()
-
-	s.mu.Lock()
-	s.unpoisoned++
-	s.inflight[job.SpecHash] = job
-	s.waiting++
-	s.obs.queueDepth.Set(int64(s.waiting))
-	s.wg.Add(1)
-	s.mu.Unlock()
-	s.obs.unpoisonedEvt.Inc()
-	go s.runJob(job)
-	s.log.Info("poisoned job released for retry", obs.Str("job", id))
 	return nil
-}
-
-// shutdownFinish fails a job locally on scheduler shutdown WITHOUT a
-// terminal journal record: the job is still owed to the journal and the
-// next boot's Recover replays it. Its checkpoint is kept for the resume.
-func (s *Scheduler) shutdownFinish(job *Job) {
-	s.releaseNeverPlaced(job)
-	s.mu.Lock()
-	delete(s.inflight, job.SpecHash)
-	s.failed++
-	s.mu.Unlock()
-	s.obs.failed.Inc()
-	job.trace.Root().Annotate(obs.Str("status", "shutdown"))
-	job.trace.Root().End()
-	job.finish(StatusFailed, nil, "scheduler shut down before completion; the job will be recovered from the journal")
 }
 
 // Submit admits a spec with default options; see SubmitOpts.
@@ -1164,18 +952,25 @@ func (s *Scheduler) SubmitOpts(spec runner.ExperimentSpec, opts SubmitOptions) (
 	if err != nil {
 		return nil, err
 	}
-
-	s.mu.Lock()
-	s.submitted++
-	s.obs.submitted.Inc()
-	if j, ok := s.inflight[hash]; ok {
-		s.dedupHits++
-		s.obs.dedupHits.Inc()
-		s.mu.Unlock()
-		j.trace.Root().Event("dedup_hit")
-		return j, nil
+	// newJob registers the submission's job; caller holds s.mu.
+	newJob := func() *Job {
+		s.nextID++
+		job := s.registerJobLocked(fmt.Sprintf("job-%06d", s.nextID), n, hash)
+		if tunedMode != "" {
+			job.tunedMode = tunedMode
+			job.maxMassError, job.maxLinecutLinf = reqMass, reqLinf
+		}
+		return job
 	}
+
+	s.emit(nil, evSubmitted, detail{})
+	s.mu.Lock()
+	dup, ok := s.inflight[hash]
 	s.mu.Unlock()
+	if ok {
+		s.emit(dup, evDedupHit, detail{})
+		return dup, nil
+	}
 
 	// Cache probe outside the lock (disk I/O). A concurrent duplicate may
 	// race to enqueue first; the re-check under the lock below collapses
@@ -1183,32 +978,19 @@ func (s *Scheduler) SubmitOpts(spec runner.ExperimentSpec, opts SubmitOptions) (
 	if s.cfg.Cache != nil {
 		if payload, src, ok := s.cfg.Cache.Fetch(hash); ok {
 			s.mu.Lock()
-			s.cacheHits++
-			s.obs.cacheHits.Inc()
-			job := s.newJobLocked(n, hash)
+			job := newJob()
 			job.cached = true
-			job.status = StatusDone
-			if tunedMode != "" {
-				job.tunedMode = tunedMode
-				job.maxMassError, job.maxLinecutLinf = reqMass, reqLinf
-			}
 			s.mu.Unlock()
-			job.trace.Root().Event("cache_hit", obs.Str("source", string(src)))
-			job.trace.Root().Annotate(obs.Str("status", "done"))
-			job.trace.Root().End()
-			s.log.Debug("cache hit", obs.Str("job", job.ID), obs.Str("spec_hash", hash))
-			job.finish(StatusDone, payload, "")
+			s.emit(job, evCacheHit, detail{payload: payload, attrs: []obs.Attr{obs.Str("source", string(src))}})
 			return job, nil
 		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.inflight[hash]; ok {
-		s.dedupHits++
-		s.obs.dedupHits.Inc()
-		j.trace.Root().Event("dedup_hit")
-		return j, nil
+	if dup, ok := s.inflight[hash]; ok {
+		s.emit(dup, evDedupHit, detail{})
+		return dup, nil
 	}
 	limit := s.cfg.QueueDepth
 	if opts.Flow != "" && s.cfg.ReserveInteractive > 0 {
@@ -1220,54 +1002,34 @@ func (s *Scheduler) SubmitOpts(spec runner.ExperimentSpec, opts SubmitOptions) (
 	if s.waiting >= limit {
 		// Bounded admission, checked before the journal append so a
 		// rejected submission leaves no record to compensate.
-		s.rejected++
-		s.obs.rejected.Inc()
+		s.emit(nil, evQueueRejected, detail{})
 		return nil, ErrQueueFull
 	}
-	job := s.newJobLocked(n, hash)
-	job.status = StatusQueued
+	job := newJob()
 	job.timeout = opts.Timeout
 	job.flow = opts.Flow
-	if tunedMode != "" {
-		job.tunedMode = tunedMode
-		job.maxMassError, job.maxLinecutLinf = reqMass, reqLinf
+	// Journal-then-ack: the admission record must be durable before the job
+	// is visible or acknowledged (the fsync under s.mu serializes
+	// submissions; admission is not the hot path).
+	err = s.emit(job, evAdmitted, detail{attrs: []obs.Attr{
+		obs.Str("spec_hash", hash), obs.Str("app", string(n.App)), obs.Str("mode", n.Mode)}})
+	if err != nil {
+		delete(s.jobs, job.ID)
+		s.order = s.order[:len(s.order)-1]
+		s.nextID--
+		return nil, fmt.Errorf("queue: journal admission: %w", err)
 	}
-	if s.cfg.Journal != nil {
-		// Journal-then-ack: the admission record must be durable before the
-		// job is visible or acknowledged (the fsync under s.mu serializes
-		// submissions; admission is not the hot path).
-		if jerr := s.cfg.Journal.Submitted(job.ID, hash, n, s.nextID+1); jerr != nil {
-			s.unregisterLastLocked(job)
-			return nil, fmt.Errorf("queue: journal admission: %w", jerr)
-		}
-	}
-	job.queueSpan = job.trace.Root().Child("queue_wait")
-	job.enqueuedAt = time.Now()
-	s.inflight[hash] = job
-	s.waiting++
-	s.obs.queueDepth.Set(int64(s.waiting))
-	s.wg.Add(1)
-	go s.runJob(job)
-	s.log.Debug("job queued",
-		obs.Str("job", job.ID), obs.Str("spec_hash", hash),
-		obs.Str("app", string(n.App)), obs.Str("mode", n.Mode))
 	return job, nil
 }
 
-// newJobLocked registers a new job; caller holds s.mu.
-func (s *Scheduler) newJobLocked(spec runner.ExperimentSpec, hash string) *Job {
-	s.nextID++
-	return s.registerJobLocked(fmt.Sprintf("job-%06d", s.nextID), spec, hash)
-}
-
-// registerJobLocked installs a job under a fixed ID (recovery preserves
-// the crashed daemon's IDs); caller holds s.mu.
+// registerJobLocked installs a job under its ID (recovery preserves the
+// crashed daemon's IDs); caller holds s.mu. The job has no state until a
+// transition gives it one.
 func (s *Scheduler) registerJobLocked(id string, spec runner.ExperimentSpec, hash string) *Job {
 	job := &Job{
 		ID:       id,
 		SpecHash: hash,
 		Spec:     spec,
-		status:   StatusDone, // overwritten by callers that queue
 		done:     make(chan struct{}),
 		trace:    obs.NewTrace(id, "job", attrsForSpec(spec, hash)...),
 	}
@@ -1276,96 +1038,62 @@ func (s *Scheduler) registerJobLocked(id string, spec runner.ExperimentSpec, has
 	return job
 }
 
-// unregisterLastLocked rolls back the most recent newJobLocked; caller
-// holds s.mu.
-func (s *Scheduler) unregisterLastLocked(job *Job) {
-	delete(s.jobs, job.ID)
-	s.order = s.order[:len(s.order)-1]
-	s.nextID--
-}
-
 // Recover replays the journal's pending jobs onto the board. Call after
-// New and before Start. Completed-but-unjournaled jobs (crash between the
-// cache put and the done record) are healed straight from the cache —
-// guaranteeing an accepted job is never run twice to completion. Started
-// jobs whose periodic checkpoint survived resume mid-run (pinned to the
-// local backend — the checkpoint is local state); their recorded
-// escalations are restored so they re-run at the rung they had reached.
+// New and before Start. Poisoned jobs are parked again without running: the
+// verdict survives restarts until an operator releases the job.
+// Completed-but-unjournaled jobs (crash between the cache put and the done
+// record) are healed straight from the cache — guaranteeing an accepted job
+// is never run twice to completion. The rest are enqueued again, up to the
+// queue bound (the overflow fails); started ones whose periodic checkpoint
+// survived resume mid-run (pinned to the local backend — the checkpoint is
+// local state), at the precision rung their recorded escalations had
+// reached.
 func (s *Scheduler) Recover() (requeued, healed int, err error) {
 	if s.cfg.Journal == nil {
 		return 0, 0, nil
 	}
-	pending := s.cfg.Journal.Pending()
 	s.mu.Lock()
 	if n := s.cfg.Journal.NextJobNum(); n > s.nextID+1 {
 		s.nextID = n - 1
 	}
 	s.mu.Unlock()
 
-	for _, p := range pending {
-		if p.Poisoned {
-			// Re-park without re-running: the poison verdict (same failure
-			// on two distinct executors) survives restarts until an operator
-			// releases the job.
-			s.mu.Lock()
-			job := s.registerJobLocked(p.ID, p.Spec, p.SpecHash)
-			job.recovered = true
-			s.inflight[p.SpecHash] = job
-			s.recovered++
-			s.poisoned++
-			s.mu.Unlock()
-			s.obs.recovered.Inc()
-			job.trace.Root().Event("recovered", obs.Str("parked", "poisoned"))
-			job.trace.Root().Annotate(obs.Str("status", "poisoned"))
-			s.log.Warn("recovery re-parked poisoned job",
-				obs.Str("job", p.ID), obs.Str("error", p.ErrMsg))
-			job.finish(StatusPoisoned, nil, p.ErrMsg)
-			continue
-		}
-		if s.cfg.Cache != nil {
-			if payload, ok := s.cfg.Cache.Get(p.SpecHash); ok {
-				s.mu.Lock()
-				job := s.registerJobLocked(p.ID, p.Spec, p.SpecHash)
-				job.cached = true
-				job.recovered = true
-				s.recovered++
-				s.mu.Unlock()
-				s.obs.recovered.Inc()
-				job.trace.Root().Event("recovered", obs.Str("healed", "cache"))
-				job.trace.Root().Annotate(obs.Str("status", "done"))
-				job.trace.Root().End()
-				s.log.Info("recovery healed job from cache", obs.Str("job", p.ID))
-				_ = s.cfg.Journal.Done(p.ID)
-				job.finish(StatusDone, payload, "")
-				healed++
-				continue
-			}
+	for _, p := range s.cfg.Journal.Pending() {
+		var payload []byte
+		inCache := false
+		if !p.Poisoned && s.cfg.Cache != nil {
+			payload, inCache = s.cfg.Cache.Get(p.SpecHash)
 		}
 		s.mu.Lock()
 		job := s.registerJobLocked(p.ID, p.Spec, p.SpecHash)
 		job.recovered = true
-		if s.waiting >= s.cfg.QueueDepth {
-			s.mu.Unlock()
-			_ = s.cfg.Journal.Failed(p.ID, "recovery: queue full")
-			job.finish(StatusFailed, nil, "recovery: queue full")
-			continue
-		}
-		job.status = StatusQueued
+		job.cached = inCache
 		job.tryResume = p.Started && !s.cfg.DisableLocal
 		job.escalations = append([]runner.Escalation(nil), p.Escalations...)
-		job.trace.Root().Event("recovered", obs.Str("resume", fmt.Sprint(job.tryResume)))
-		job.queueSpan = job.trace.Root().Child("queue_wait")
-		job.enqueuedAt = time.Now()
-		s.inflight[p.SpecHash] = job
-		s.recovered++
-		s.waiting++
-		s.obs.queueDepth.Set(int64(s.waiting))
-		s.wg.Add(1)
 		s.mu.Unlock()
-		s.obs.recovered.Inc()
-		go s.runJob(job)
-		s.log.Info("recovery requeued job", obs.Str("job", p.ID), obs.Str("resume", fmt.Sprint(p.Started)))
-		requeued++
+		switch {
+		case p.Poisoned:
+			s.emit(job, evRecovered, detail{attrs: []obs.Attr{obs.Str("parked", "poisoned")}})
+			s.emit(job, evReparked, detail{err: p.ErrMsg})
+		case inCache:
+			s.emit(job, evRecovered, detail{attrs: []obs.Attr{obs.Str("healed", "cache")}})
+			s.emit(job, evHealed, detail{payload: payload})
+			healed++
+		default:
+			resume := []obs.Attr{obs.Str("resume", strconv.FormatBool(job.tryResume))}
+			s.emit(job, evRecovered, detail{attrs: resume})
+			s.mu.Lock()
+			full := s.waiting >= s.cfg.QueueDepth
+			if !full {
+				s.emit(job, evReplayed, detail{attrs: resume})
+			}
+			s.mu.Unlock()
+			if full {
+				s.emit(job, evFailed, detail{err: "recovery: queue full"})
+				continue
+			}
+			requeued++
+		}
 	}
 	return requeued, healed, nil
 }
@@ -1455,25 +1183,28 @@ func (s *Scheduler) Jobs() []View {
 	return views
 }
 
-// Stats snapshots scheduler traffic.
+// Stats snapshots scheduler traffic: the same counters /metrics serves as
+// precisiond_jobs_total{event}.
 func (s *Scheduler) Stats() Stats {
+	n := func(ev event) uint64 { return s.obs.events[ev].Value() }
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	depth := s.waiting
+	s.mu.Unlock()
 	return Stats{
-		Submitted:     s.submitted,
-		DedupHits:     s.dedupHits,
-		CacheHits:     s.cacheHits,
-		Executed:      s.executed,
-		Failed:        s.failed,
-		QueueRejected: s.rejected,
-		Retried:       s.retried,
-		Escalated:     s.escalated,
-		TimedOut:      s.timedOut,
-		Abandoned:     s.abandoned,
-		Recovered:     s.recovered,
-		Requeued:      s.requeued,
-		Poisoned:      s.poisoned,
-		QueueDepth:    s.waiting,
+		Submitted:     n(evSubmitted),
+		DedupHits:     n(evDedupHit),
+		CacheHits:     n(evCacheHit),
+		Executed:      n(evExecuted),
+		Failed:        n(evFailed),
+		QueueRejected: n(evQueueRejected),
+		Retried:       n(evRetried),
+		Escalated:     n(evEscalated),
+		TimedOut:      n(evTimedOut),
+		Abandoned:     n(evAbandoned),
+		Recovered:     n(evRecovered),
+		Requeued:      n(evRequeued),
+		Poisoned:      n(evPoisoned),
+		QueueDepth:    depth,
 		Workers:       s.cfg.Workers,
 	}
 }

@@ -48,10 +48,11 @@ const (
 	Full  = precision.Full
 )
 
-// Modes lists the paper's three CLAMR modes; AllModes adds Half.
+// Modes lists the paper's three CLAMR modes; AllModes is the full
+// precision ladder, which adds Half below them.
 var (
 	Modes    = precision.Modes
-	AllModes = precision.AllModes
+	AllModes = precision.Ladder
 )
 
 // ParseMode parses a mode name ("min", "mixed", "full", "half", plus

@@ -4,7 +4,7 @@
 GO ?= go
 
 # The smokes are not listed: make skips pattern rules for phony targets.
-.PHONY: build test vet verify race bench-par bench-step bench-json bench-gate
+.PHONY: build test vet verify race loc bench-par bench-step bench-json bench-gate
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,10 @@ verify: build vet test
 
 race:
 	$(GO) test -race ./internal/par/... ./internal/clamr/... ./internal/self/... ./internal/serve/... ./internal/runner/...
+
+# Net non-test Go lines outside bench/: the number CHANGES.md reports per PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 %-smoke:
 	GO="$(GO)" ./scripts/$*_smoke.sh

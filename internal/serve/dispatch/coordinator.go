@@ -221,15 +221,11 @@ type Coordinator struct {
 	log *obs.Logger
 	d   *Dispatcher
 
-	workersGauge obs.Gauge
-	workerLeases obs.GaugeVec   // label: worker name
-	leaseEvents  obs.CounterVec // label: event
-	heartbeats   obs.Counter
-	verifyCtr    obs.CounterVec // label: outcome
-	replicaGauge obs.Gauge
-	healthGauge  obs.GaugeVec // label: state
-	hedgeCtr     obs.CounterVec
-	drainHist    *obs.Histogram
+	leaseEvents obs.CounterVec // label: event
+	heartbeats  obs.Counter
+	verifyCtr   obs.CounterVec // label: outcome
+	hedgeCtr    obs.CounterVec // label: outcome
+	drainHist   *obs.Histogram
 
 	runCtx context.Context
 
@@ -238,11 +234,10 @@ type Coordinator struct {
 	mu            sync.Mutex
 	workers       map[string]*workerState
 	leases        map[string]*lease
-	lat           *latTracker
+	lat           map[string]*latRing // per-shape completion latencies
 	hedgeInflight int
 	nextWorker    uint64
 	nextLease     uint64
-	takeSeq       uint64
 	// replicas is the fleet read index: spec hash → workers whose replica
 	// store holds that payload. Maintained from heartbeat Held reports;
 	// rrSeq round-robins reads across holders so one hot hash spreads over
@@ -268,7 +263,7 @@ type workerState struct {
 	held         map[string]struct{}
 	health       *workerHealth
 
-	leased, completed, expired uint64
+	tally [numTallies]uint64 // leased / completed / expired, moved by the lease table
 
 	// scrape is the last successfully parsed /metrics scrape and when it
 	// landed; a stale scrape ages out of the fleet merge but is kept for
@@ -324,32 +319,26 @@ func NewCoordinator(d *Dispatcher, cfg CoordinatorConfig) *Coordinator {
 		cfg:      cfg,
 		log:      cfg.Log,
 		d:        d,
+		runCtx:   context.Background(), // until Start
 		hp:       hp,
 		workers:  make(map[string]*workerState),
 		leases:   make(map[string]*lease),
-		lat:      newLatTracker(),
+		lat:      make(map[string]*latRing),
 		replicas: make(map[string]map[string]*workerState),
 		profiles: make(map[string]string),
 	}
 	if cfg.Obs != nil {
-		co.workersGauge = cfg.Obs.Gauge("dispatch_workers_registered",
-			"Remote workers currently registered with the coordinator.")
-		co.workerLeases = cfg.Obs.GaugeVec("dispatch_worker_active_leases",
-			"Active leases per remote worker.", "worker")
 		co.leaseEvents = cfg.Obs.CounterVec("dispatch_leases_total",
-			"Lease lifecycle events: granted, completed, expired, rejected_late, rejected_corrupt.", "event")
+			"Lease lifecycle events: granted, completed, rejected_corrupt, rejected_late, expired, requeued_drain, cancelled.", "event")
 		co.heartbeats = cfg.Obs.Counter("dispatch_heartbeats_total",
 			"Heartbeats received from remote workers.")
 		co.verifyCtr = cfg.Obs.CounterVec("dispatch_verify_total",
 			"Cross-node verification attempts by outcome (match, mismatch, skipped).", "outcome")
-		co.replicaGauge = cfg.Obs.Gauge("dispatch_replica_hashes",
-			"Distinct spec hashes held by at least one worker replica store.")
-		co.healthGauge = cfg.Obs.GaugeVec("precisiond_worker_health",
-			"Registered workers by circuit-breaker state.", "state")
 		co.hedgeCtr = cfg.Obs.CounterVec("precisiond_hedges_total",
 			"Hedged re-dispatch events: fired, won, lost, skipped, verified, mismatch.", "outcome")
 		co.drainHist = cfg.Obs.Histogram("precisiond_worker_drain_seconds",
 			"Graceful drain duration reported by deregistering workers.", obs.DurationBuckets)
+		cfg.Obs.Collect(co.collect)
 	}
 	d.Register(co)
 	return co
@@ -362,37 +351,22 @@ func (co *Coordinator) Name() string { return "fleet" }
 // the HTTP handlers, mounted by internal/serve/api.
 func (co *Coordinator) Start(ctx context.Context, d *Dispatcher) {
 	co.runCtx = ctx
-	interval := co.cfg.LeaseTTL / 8
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	d.Go(func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				co.reap(time.Now())
+	every := func(interval time.Duration, fn func()) {
+		d.Go(func() {
+			t := time.NewTicker(interval)
+			defer t.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-t.C:
+					fn()
+				}
 			}
-		}
-	})
-	d.Go(func() {
-		t := time.NewTicker(co.cfg.Heartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				co.scrapeWorkers(ctx)
-			}
-		}
-	})
+		})
+	}
+	every(min(max(co.cfg.LeaseTTL/8, 10*time.Millisecond), time.Second), func() { co.reap(time.Now()) })
+	every(co.cfg.Heartbeat, func() { co.scrapeWorkers(ctx) })
 }
 
 // scrapeTimeout bounds one worker /metrics fetch: a wedged worker costs
@@ -405,28 +379,24 @@ const scrapeTimeout = 2 * time.Second
 // keeps the previous sample, which then ages out of the fleet merge after
 // the staleness window.
 func (co *Coordinator) scrapeWorkers(ctx context.Context) {
-	type target struct {
-		id   string
-		addr string
-	}
 	co.mu.Lock()
-	targets := make([]target, 0, len(co.workers))
+	targets := make(map[string]string, len(co.workers)) // worker ID → scrape URL
 	for id, ws := range co.workers {
 		if ws.readAddr != "" {
-			targets = append(targets, target{id, ws.readAddr + "/metrics"})
+			targets[id] = ws.readAddr + "/metrics"
 		}
 	}
 	co.mu.Unlock()
-	for _, t := range targets {
-		pm, err := co.scrapeOne(ctx, t.addr)
+	for id, url := range targets {
+		pm, err := co.scrapeOne(ctx, url)
 		if err != nil {
 			co.log.Debug("worker metrics scrape failed",
-				obs.Str("worker", t.id), obs.Str("url", t.addr), obs.Str("err", err.Error()))
+				obs.Str("worker", id), obs.Str("url", url), obs.Str("err", err.Error()))
 			continue
 		}
 		now := time.Now()
 		co.mu.Lock()
-		if ws, ok := co.workers[t.id]; ok {
+		if ws, ok := co.workers[id]; ok {
 			ws.scrape = pm
 			ws.scrapedAt = now
 		}
@@ -452,28 +422,20 @@ func (co *Coordinator) scrapeOne(ctx context.Context, url string) (*obs.ParsedMe
 	return obs.ParsePrometheus(resp.Body)
 }
 
-// staleness is the window beyond which a worker's last scrape no longer
-// contributes to the fleet merge: a flapping worker's numbers fade instead
-// of freezing into the aggregate forever.
-func (co *Coordinator) staleness() time.Duration { return co.cfg.WorkerTTL }
-
-// fleetScrapes snapshots the scrapes fresh enough to merge, as of now.
-func (co *Coordinator) fleetScrapes(now time.Time) []*obs.ParsedMetrics {
+// HandleFleetMetrics implements GET /metrics/fleet: the merged view of
+// every fresh worker scrape, series summed by (name, labels). Past WorkerTTL
+// a worker's last scrape no longer contributes, so a flapping worker's
+// numbers fade instead of freezing into the aggregate forever.
+func (co *Coordinator) HandleFleetMetrics(w http.ResponseWriter, r *http.Request) {
+	now := time.Now()
 	co.mu.Lock()
-	defer co.mu.Unlock()
-	out := make([]*obs.ParsedMetrics, 0, len(co.workers))
+	scrapes := make([]*obs.ParsedMetrics, 0, len(co.workers))
 	for _, ws := range co.workers {
-		if ws.scrape != nil && now.Sub(ws.scrapedAt) <= co.staleness() {
-			out = append(out, ws.scrape)
+		if ws.scrape != nil && now.Sub(ws.scrapedAt) <= co.cfg.WorkerTTL {
+			scrapes = append(scrapes, ws.scrape)
 		}
 	}
-	return out
-}
-
-// HandleFleetMetrics implements GET /metrics/fleet: the merged view of
-// every fresh worker scrape, series summed by (name, labels).
-func (co *Coordinator) HandleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	scrapes := co.fleetScrapes(time.Now())
+	co.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("X-Fleet-Workers", fmt.Sprint(len(scrapes)))
 	_ = obs.Federate(w, scrapes)
@@ -496,40 +458,18 @@ func (co *Coordinator) reap(now time.Time) {
 			pruned = append(pruned, w)
 		}
 	}
-	n := len(co.workers)
-	replicaCount := len(co.replicas)
 	co.mu.Unlock()
-	if len(pruned) > 0 {
-		co.replicaGauge.Set(int64(replicaCount))
-	}
 	for _, l := range overdue {
-		co.expireLease(l.id, fmt.Errorf("worker %s missed heartbeats for lease %s (job %s): %w",
-			l.worker.id, l.id, l.a.JobID, ErrLeaseExpired))
+		co.settle(l.id, leExpired, Outcome{Err: fmt.Errorf("worker %s missed heartbeats for lease %s (job %s): %w",
+			l.worker.id, l.id, l.a.JobID, ErrLeaseExpired)})
 	}
 	for _, w := range pruned {
 		co.d.ClearWorkerScore(w.id)
-		co.workersGauge.Set(int64(n))
 		co.log.Info("pruned unresponsive worker",
 			obs.Str("worker", w.id), obs.Str("name", w.name),
 			obs.Str("unseen", now.Sub(w.lastSeen).Round(time.Millisecond).String()))
 	}
-	if len(pruned) > 0 {
-		co.updateHealthGauge()
-	}
 	co.maybeHedge(now)
-}
-
-// updateHealthGauge recomputes the per-state worker counts.
-func (co *Coordinator) updateHealthGauge() {
-	counts := map[HealthState]int64{HealthHealthy: 0, HealthProbation: 0, HealthQuarantined: 0}
-	co.mu.Lock()
-	for _, ws := range co.workers {
-		counts[ws.health.state]++
-	}
-	co.mu.Unlock()
-	for state, n := range counts {
-		co.healthGauge.With(string(state)).Set(n)
-	}
 }
 
 // HealthyCapacity is the slot count of workers currently eligible for
@@ -547,54 +487,9 @@ func (co *Coordinator) HealthyCapacity() int {
 	return n
 }
 
-// expireLease revokes a lease and finishes its attempt with cause. The late
-// upload that may still arrive gets 409 — the attempt has already been
-// re-queued, so admitting it would complete the job twice. An expiry is a
-// health event: the worker went dark mid-run.
-func (co *Coordinator) expireLease(id string, cause error) {
-	co.revokeLease(id, cause, "expired", true)
-}
-
-// requeueLease revokes a lease without blaming the worker — the drain path:
-// a deregistering worker hands its remaining leases back deliberately.
-func (co *Coordinator) requeueLease(id string, cause error) {
-	co.revokeLease(id, cause, "requeued_drain", false)
-}
-
-func (co *Coordinator) revokeLease(id string, cause error, event string, penalize bool) {
-	now := time.Now()
-	co.mu.Lock()
-	l, ok := co.leases[id]
-	if !ok {
-		co.mu.Unlock()
-		return
-	}
-	delete(co.leases, id)
-	delete(l.worker.active, id)
-	if penalize {
-		l.worker.expired++
-		l.worker.health.observe(penExpiry, now)
-		if l.probe {
-			l.worker.health.probeResult(false, now)
-		}
-	}
-	name, active := l.worker.name, len(l.worker.active)
-	co.mu.Unlock()
-	co.workerLeases.With(name).Set(int64(active))
-	co.leaseEvents.With(event).Inc()
-	co.updateHealthGauge()
-	co.log.Warn("lease revoked",
-		obs.Str("lease", id), obs.Str("worker", l.worker.id), obs.Str("event", event),
-		obs.Str("job", l.a.JobID), obs.Str("cause", cause.Error()))
-	l.a.finish(Outcome{Err: cause, Backend: co.Name(), Worker: l.worker.id})
-	if l.hedge != nil {
-		co.hedgeLanded(l, l.hedge, nil, l.worker.id)
-	}
-}
-
 // setHeldLocked replaces a worker's replica-held set and reindexes;
-// caller holds co.mu. Returns the new distinct-hash count.
-func (co *Coordinator) setHeldLocked(ws *workerState, held []string) int {
+// caller holds co.mu.
+func (co *Coordinator) setHeldLocked(ws *workerState, held []string) {
 	for h := range ws.held {
 		if holders, ok := co.replicas[h]; ok {
 			delete(holders, ws.id)
@@ -613,7 +508,6 @@ func (co *Coordinator) setHeldLocked(ws *workerState, held []string) int {
 		}
 		holders[ws.id] = ws
 	}
-	return len(co.replicas)
 }
 
 // ReplicaSource returns the replica read URL for hash on some worker that
@@ -625,9 +519,6 @@ func (co *Coordinator) ReplicaSource(hash string) (string, bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	holders := co.replicas[hash]
-	if len(holders) == 0 {
-		return "", false
-	}
 	ids := make([]string, 0, len(holders))
 	for id, ws := range holders {
 		if ws.readAddr != "" {
@@ -680,7 +571,6 @@ func (co *Coordinator) HandleRegister(w http.ResponseWriter, r *http.Request) {
 	prev, seen := co.profiles[ws.name]
 	co.profiles[ws.name] = fp
 	co.workers[ws.id] = ws
-	n := len(co.workers)
 	co.mu.Unlock()
 	// Energy tie-break input: modeled joules per slot from the arch profile
 	// (TDP spread across the advertised slots). Among capability-equal idle
@@ -694,8 +584,6 @@ func (co *Coordinator) HandleRegister(w http.ResponseWriter, r *http.Request) {
 			obs.Str("worker", ws.id), obs.Str("name", ws.name),
 			obs.Str("previous", prev), obs.Str("current", fp))
 	}
-	co.workersGauge.Set(int64(n))
-	co.updateHealthGauge()
 	archName := ""
 	if req.Arch != nil {
 		archName = req.Arch.Name
@@ -755,21 +643,18 @@ func (co *Coordinator) HandleLease(w http.ResponseWriter, r *http.Request) {
 			wait = d
 		}
 	}
-	if !admit {
-		// Quarantined with no probe window open: hold the long-poll so the
-		// worker doesn't hot-loop, then send it away empty.
-		select {
-		case <-r.Context().Done():
-		case <-time.After(wait):
-		}
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	a := co.d.Take(ctx, co.Name(), ws.id, func(a *Attempt) bool {
-		return !a.LocalOnly && a.ExcludeWorker != ws.id && ws.caps.matches(a.Spec)
-	})
+	var a *Attempt
+	if admit {
+		a = co.d.Take(ctx, co.Name(), ws.id, func(a *Attempt) bool {
+			return !a.LocalOnly && a.ExcludeWorker != ws.id && ws.caps.matches(a.Spec)
+		})
+	} else {
+		// Quarantined with no probe window open: hold the long-poll so the
+		// worker doesn't hot-loop, then send it away empty.
+		<-ctx.Done()
+	}
 	if a == nil {
 		if probe {
 			co.mu.Lock()
@@ -797,21 +682,17 @@ func (co *Coordinator) HandleLease(w http.ResponseWriter, r *http.Request) {
 		a:        a,
 		granted:  now,
 		deadline: now.Add(co.cfg.LeaseTTL),
+		verify:   co.cfg.VerifyN > 0 && !a.shadow && co.nextLease%uint64(co.cfg.VerifyN) == 0,
 		probe:    probe,
-	}
-	co.takeSeq++
-	if co.cfg.VerifyN > 0 && !a.shadow && co.takeSeq%uint64(co.cfg.VerifyN) == 0 {
-		l.verify = true
 	}
 	co.leases[l.id] = l
 	ws.active[l.id] = l
-	ws.leased++
-	active := len(ws.active)
+	ws.count(leGranted)
 	co.mu.Unlock()
-	co.workerLeases.With(ws.name).Set(int64(active))
-	co.leaseEvents.With("granted").Inc()
-	a.setCancelLease(func(cause error) { co.expireLease(l.id, cause) })
-	co.log.Debug("lease granted",
+	// The attempt's own context dying (job timeout, shutdown, an autotune
+	// probe giving up) is not the worker's doing: cancelled, not expired.
+	a.setCancelLease(func(cause error) { co.settle(l.id, leCancelled, Outcome{Err: cause}) })
+	co.note(leGranted,
 		obs.Str("lease", l.id), obs.Str("worker", ws.id), obs.Str("job", a.JobID),
 		obs.Str("mode", a.Spec.Mode), obs.Str("verify", fmt.Sprint(l.verify)))
 	writeJSON(w, http.StatusOK, LeaseGrant{
@@ -838,17 +719,8 @@ func (co *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	type delivery struct {
-		fn          func(step, total int)
-		step, total int64
-	}
-	type traceDelivery struct {
-		fn func(worker string, td obs.TraceData, uploadBytes int)
-		td *obs.TraceData
-	}
 	var resp HeartbeatResponse
-	var progress []delivery
-	var traces []traceDelivery
+	var deliver []func() // progress and trace relays, run outside co.mu
 	var injected []string
 	co.mu.Lock()
 	ws, ok := co.workers[wid]
@@ -857,14 +729,9 @@ func (co *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown worker %q", wid)
 		return
 	}
-	// A beat arriving well past the advertised cadence means earlier beats
-	// were dropped or delayed — a flap, scored but far below an expiry.
-	flapped := now.Sub(ws.lastSeen) > co.cfg.Heartbeat*3/2
-	if flapped {
-		ws.health.observe(penFlap, now)
-	}
+	ws.health.beat(now.Sub(ws.lastSeen), co.cfg.Heartbeat, now)
 	ws.lastSeen = now
-	replicaCount := co.setHeldLocked(ws, req.Held)
+	co.setHeldLocked(ws, req.Held)
 	for _, hb := range req.Leases {
 		l, ok := co.leases[hb.LeaseID]
 		if !ok || l.worker != ws {
@@ -877,24 +744,20 @@ func (co *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		l.deadline = now.Add(co.cfg.LeaseTTL)
-		if l.a.Progress != nil {
-			progress = append(progress, delivery{l.a.Progress, hb.Step, hb.Total})
+		if a := l.a; a.Progress != nil {
+			deliver = append(deliver, func() { a.Progress(int(hb.Step), int(hb.Total)) })
 		}
-		if l.a.OnWorkerTrace != nil && hb.Trace != nil {
-			traces = append(traces, traceDelivery{l.a.OnWorkerTrace, hb.Trace})
+		if a := l.a; a.OnWorkerTrace != nil && hb.Trace != nil {
+			deliver = append(deliver, func() { a.OnWorkerTrace(wid, *hb.Trace, 0) })
 		}
 	}
 	co.mu.Unlock()
 	co.heartbeats.Inc()
-	co.replicaGauge.Set(int64(replicaCount))
 	for _, id := range injected {
-		co.expireLease(id, fmt.Errorf("fault dispatch.lease.expire tripped: %w", ErrLeaseExpired))
+		co.settle(id, leExpired, Outcome{Err: fmt.Errorf("fault dispatch.lease.expire tripped: %w", ErrLeaseExpired)})
 	}
-	for _, p := range progress {
-		p.fn(int(p.step), int(p.total))
-	}
-	for _, t := range traces {
-		t.fn(wid, *t.td, 0)
+	for _, fn := range deliver {
+		fn()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -921,117 +784,50 @@ func (co *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.lastSeen = now
 	l, ok := co.leases[req.LeaseID]
-	if !ok || l.worker != ws {
-		co.mu.Unlock()
-		co.leaseEvents.With("rejected_late").Inc()
-		co.log.Warn("late completion rejected",
-			obs.Str("lease", req.LeaseID), obs.Str("worker", wid))
+	if ok = ok && l.worker == ws; ok {
+		// The upload is proof of life: the reaper must not expire the lease
+		// while its payload is being checked outside the lock.
+		l.deadline = now.Add(co.cfg.LeaseTTL)
+	}
+	co.mu.Unlock()
+
+	ev, o := leRejectedLate, Outcome{}
+	var rejected error
+	if ok {
+		a := l.a
+		// Graft the worker's final span timeline under the attempt before it
+		// finishes: after that the scheduler may snapshot the job trace at
+		// any moment.
+		if a.OnWorkerTrace != nil && req.Trace != nil {
+			a.OnWorkerTrace(ws.id, *req.Trace, len(req.Result))
+		}
+		if req.Error != "" {
+			ev = leRunError
+			o.Err = &runner.Error{Kind: runner.ParseKind(req.ErrorKind), Op: "remote run on " + ws.id, Err: errors.New(req.Error)}
+		} else {
+			payload := []byte(req.Result)
+			if fault.Hit("dispatch.upload") && len(payload) > 0 {
+				payload = payload[:len(payload)/2] // torn upload
+			}
+			ev = leCompleted
+			if o.Res, rejected = validateUpload(payload, a.Hash()); rejected != nil {
+				ev = leRejectedCorrupt
+				o.Err = &runner.Error{Kind: runner.KindTransient, Op: "verify upload from " + ws.id, Err: rejected}
+			}
+		}
+		if !co.settle(l.id, ev, o) {
+			ev = leRejectedLate // settled some other way while the payload was checked
+		}
+	}
+	switch ev {
+	case leRejectedLate:
+		co.note(leRejectedLate, obs.Str("lease", req.LeaseID), obs.Str("worker", wid))
 		httpError(w, http.StatusConflict, "lease %q is not active (expired or unknown); result discarded", req.LeaseID)
-		return
-	}
-	delete(co.leases, l.id)
-	delete(ws.active, l.id)
-	ws.completed++
-	active := len(ws.active)
-	co.mu.Unlock()
-	co.workerLeases.With(ws.name).Set(int64(active))
-
-	a := l.a
-	// Graft the worker's final span timeline under the attempt before any
-	// finish path runs: once the attempt finishes, the scheduler may
-	// snapshot the job trace at any moment.
-	if a.OnWorkerTrace != nil && req.Trace != nil {
-		a.OnWorkerTrace(ws.id, *req.Trace, len(req.Result))
-	}
-	if req.Error != "" {
-		co.leaseEvents.With("completed").Inc()
-		err := &runner.Error{Kind: runner.ParseKind(req.ErrorKind), Op: "remote run on " + ws.id, Err: errors.New(req.Error)}
-		co.log.Debug("remote attempt failed",
-			obs.Str("lease", l.id), obs.Str("job", a.JobID),
-			obs.Str("kind", req.ErrorKind), obs.Str("error", req.Error))
-		if l.probe {
-			// A classified run error is the spec's fault, not the box's:
-			// the worker proved responsive, which is what the probe asks.
-			co.mu.Lock()
-			ws.health.probeResult(true, now)
-			co.mu.Unlock()
-			co.updateHealthGauge()
-		}
-		a.finish(Outcome{Err: err, Backend: co.Name(), Worker: ws.id})
-		if l.hedge != nil {
-			co.hedgeLanded(l, l.hedge, nil, ws.id)
-		}
+	case leRejectedCorrupt:
+		httpError(w, http.StatusUnprocessableEntity, "result rejected: %v", rejected)
+	default:
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-		return
 	}
-
-	payload := []byte(req.Result)
-	if fault.Hit("dispatch.upload") && len(payload) > 0 {
-		payload = payload[:len(payload)/2] // torn upload
-	}
-	res, err := validateUpload(payload, a.Hash())
-	if err != nil {
-		co.leaseEvents.With("rejected_corrupt").Inc()
-		co.log.Warn("upload rejected",
-			obs.Str("lease", l.id), obs.Str("worker", ws.id),
-			obs.Str("job", a.JobID), obs.Str("error", err.Error()))
-		co.mu.Lock()
-		ws.health.observe(penReject, now)
-		if l.probe {
-			ws.health.probeResult(false, now)
-		}
-		co.mu.Unlock()
-		co.updateHealthGauge()
-		a.finish(Outcome{
-			Err:     &runner.Error{Kind: runner.KindTransient, Op: "verify upload from " + ws.id, Err: err},
-			Backend: co.Name(), Worker: ws.id,
-		})
-		if l.hedge != nil {
-			co.hedgeLanded(l, l.hedge, nil, ws.id)
-		}
-		httpError(w, http.StatusUnprocessableEntity, "result rejected: %v", err)
-		return
-	}
-	co.leaseEvents.With("completed").Inc()
-
-	// Energy/cost accounting: the worker's registered arch profile applied
-	// to the measured counters. Rides outside Deterministic()/ResultHash,
-	// so annotating the result cannot perturb the determinism contract.
-	if ws.arch != nil {
-		res.Energy = ComputeEnergy(*ws.arch, res)
-		co.mu.Lock()
-		ws.joules += res.Energy.Joules
-		ws.costDollars += res.Energy.CostDollars
-		co.mu.Unlock()
-	}
-
-	// Score the completion: latency against the fleet median for this
-	// shape (judged before this sample joins the ring), then fold it in.
-	dur := now.Sub(l.granted)
-	shape := shapeOf(a.Spec)
-	co.mu.Lock()
-	pen := penGood
-	if med, samples := co.lat.quantile(shape, 0.5); samples >= co.hp.minSlowSamples &&
-		dur.Seconds() > med*co.hp.slowFactor {
-		pen = penSlow
-	}
-	co.lat.observe(shape, dur)
-	ws.health.observe(pen, now)
-	if l.probe {
-		ws.health.probeResult(pen == penGood, now)
-	}
-	co.mu.Unlock()
-	co.updateHealthGauge()
-
-	if l.verify {
-		co.crossCheck(l, res)
-	} else {
-		a.finish(Outcome{Res: res, Backend: co.Name(), Worker: ws.id})
-	}
-	if l.hedge != nil {
-		co.hedgeLanded(l, l.hedge, res, ws.id)
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // validateUpload parses an uploaded result and checks it round-trips the
@@ -1064,98 +860,81 @@ func validateUpload(payload []byte, wantHash string) (*runner.Result, error) {
 	return &res, nil
 }
 
-// crossCheck re-dispatches a sampled attempt to a different executor and
-// admits the first result only if both final-state hashes are bit-identical
-// — the paper's determinism claim, checked across nodes. A verification
-// that finds no second executor within VerifyWait is skipped, not failed.
-func (co *Coordinator) crossCheck(l *lease, first *runner.Result) {
-	a, firstWorker := l.a, l.worker.id
+// newShadow builds a coordinator-spawned attempt — a second opinion, an
+// autotune probe or a hedge duplicate — barred from worker exclude. Shadows
+// are never themselves sampled for verification or hedged.
+func newShadow(jobID string, spec runner.ExperimentSpec, n int64, exclude string) *Attempt {
+	return &Attempt{JobID: jobID, Spec: spec, N: n, ExcludeWorker: exclude, shadow: true}
+}
+
+// Second-opinion verdicts: the dispatch_verify_total{outcome} labels.
+const (
+	verifyMatch    = "match"
+	verifyMismatch = "mismatch"
+	verifySkipped  = "skipped"
+)
+
+// secondOpinion runs a's spec again on an executor other than the one that
+// produced first, a's result, and compares the two final-state hashes — the
+// paper's determinism claim, checked across nodes. It counts and logs the
+// verdict; what a verdict means is the caller's business. No second
+// executor before ctx dies is skipped, not failed.
+func (co *Coordinator) secondOpinion(ctx context.Context, a *Attempt, first Outcome) (verdict string, second Outcome) {
+	second = co.d.Do(ctx, newShadow(a.JobID, a.Spec, a.N, first.Worker))
+	attrs := []obs.Attr{obs.Str("job", a.JobID), obs.Str("mode", a.Spec.Mode),
+		obs.Str("first", first.Backend+"/"+first.Worker), obs.Str("first_state", first.Res.StateHash),
+		obs.Str("second", second.Backend+"/"+second.Worker)}
+	switch {
+	case second.Err != nil || second.Res == nil:
+		co.verifyCtr.With(verifySkipped).Inc()
+		co.log.Warn("second opinion skipped", append(attrs, obs.Str("cause", fmt.Sprint(second.Err)))...)
+		return verifySkipped, second
+	case second.Res.StateHash == first.Res.StateHash:
+		co.verifyCtr.With(verifyMatch).Inc()
+		co.log.Debug("second opinion matched", attrs...)
+		return verifyMatch, second
+	default:
+		co.verifyCtr.With(verifyMismatch).Inc()
+		co.log.Error("second opinion diverged", append(attrs, obs.Str("second_state", second.Res.StateHash))...)
+		return verifyMismatch, second
+	}
+}
+
+// crossCheck is the -verify-n path: a sampled attempt's first result is
+// admitted unless a second executor found within VerifyWait disagrees with
+// it, which fails the job permanently.
+func (co *Coordinator) crossCheck(a *Attempt, first Outcome) {
 	co.d.Go(func() {
-		base := co.runCtx
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(base, co.cfg.VerifyWait)
+		ctx, cancel := context.WithTimeout(co.runCtx, co.cfg.VerifyWait)
 		defer cancel()
-		shadow := &Attempt{
-			JobID:         a.JobID,
-			Spec:          a.Spec,
-			N:             a.N,
-			ExcludeWorker: firstWorker,
-			shadow:        true,
+		if verdict, second := co.secondOpinion(ctx, a, first); verdict == verifyMismatch {
+			first.Err = &runner.Error{Kind: runner.KindPermanent, Op: "cross-node verification",
+				Err: fmt.Errorf("state hash divergence: %s on %s vs %s on %s/%s",
+					first.Res.StateHash, first.Worker, second.Res.StateHash, second.Backend, second.Worker)}
+			first.Res = nil
 		}
-		out := co.d.Do(ctx, shadow)
-		switch {
-		case out.Err != nil || out.Res == nil:
-			co.verifyCtr.With("skipped").Inc()
-			co.log.Warn("cross-node verification skipped",
-				obs.Str("job", a.JobID), obs.Str("cause", fmt.Sprint(out.Err)))
-			a.finish(Outcome{Res: first, Backend: co.Name(), Worker: firstWorker})
-		case out.Res.StateHash == first.StateHash:
-			co.verifyCtr.With("match").Inc()
-			co.log.Debug("cross-node verification matched",
-				obs.Str("job", a.JobID), obs.Str("first", firstWorker),
-				obs.Str("second", out.Backend+"/"+out.Worker),
-				obs.Str("state", first.StateHash))
-			a.finish(Outcome{Res: first, Backend: co.Name(), Worker: firstWorker})
-		default:
-			co.verifyCtr.With("mismatch").Inc()
-			co.log.Error("cross-node state hash divergence",
-				obs.Str("job", a.JobID),
-				obs.Str("first", firstWorker), obs.Str("first_state", first.StateHash),
-				obs.Str("second", out.Backend+"/"+out.Worker), obs.Str("second_state", out.Res.StateHash))
-			a.finish(Outcome{
-				Err: &runner.Error{Kind: runner.KindPermanent, Op: "cross-node verification",
-					Err: fmt.Errorf("state hash divergence: %s on %s vs %s on %s/%s",
-						first.StateHash, firstWorker, out.Res.StateHash, out.Backend, out.Worker)},
-				Backend: co.Name(), Worker: firstWorker,
-			})
-		}
+		a.finish(first)
 	})
 }
 
-// VerifyDemotion executes spec once and shadow-runs it on a second
-// executor that excludes the first, reporting the primary result and
-// whether the two final-state hashes were bit-identical — the gate
-// internal/serve/autotune requires before committing a precision
-// demotion. It reuses the -verify-n cross-check machinery, so on a
-// multi-node fleet the confirmation is cross-node. ctx bounds the whole
-// probe; a probe that finds no second executor in time returns the
-// primary result unverified (verified=false, err=nil), never an error —
-// the demotion is simply not committed.
+// VerifyDemotion executes spec once and takes a second opinion on it,
+// reporting the primary result and whether the two final-state hashes were
+// bit-identical — the gate internal/serve/autotune requires before
+// committing a precision demotion; on a multi-node fleet the confirmation
+// is cross-node. ctx bounds the whole probe; a probe that finds no second
+// executor in time returns the primary result unverified (verified=false,
+// err=nil), never an error — the demotion is simply not committed.
 func (co *Coordinator) VerifyDemotion(ctx context.Context, spec runner.ExperimentSpec) (*runner.Result, bool, error) {
-	first := co.d.Do(ctx, &Attempt{JobID: "autotune-probe", Spec: spec, N: 1, shadow: true})
+	probe := newShadow("autotune-probe", spec, 1, "")
+	first := co.d.Do(ctx, probe)
 	if first.Err != nil {
 		return nil, false, first.Err
 	}
 	if first.Res == nil || first.Res.StateHash == "" {
 		return nil, false, errors.New("dispatch: demotion probe returned no final-state hash")
 	}
-	shadow := co.d.Do(ctx, &Attempt{
-		JobID: "autotune-probe", Spec: spec, N: 2,
-		ExcludeWorker: first.Worker, shadow: true,
-	})
-	if shadow.Err != nil || shadow.Res == nil {
-		co.verifyCtr.With("skipped").Inc()
-		co.log.Warn("demotion shadow verification skipped",
-			obs.Str("mode", spec.Mode), obs.Str("cause", fmt.Sprint(shadow.Err)))
-		return first.Res, false, nil
-	}
-	if shadow.Res.StateHash != first.Res.StateHash {
-		co.verifyCtr.With("mismatch").Inc()
-		co.log.Error("demotion shadow diverged",
-			obs.Str("mode", spec.Mode),
-			obs.Str("first", first.Backend+"/"+first.Worker), obs.Str("first_state", first.Res.StateHash),
-			obs.Str("second", shadow.Backend+"/"+shadow.Worker), obs.Str("second_state", shadow.Res.StateHash))
-		return first.Res, false, nil
-	}
-	co.verifyCtr.With("match").Inc()
-	co.log.Debug("demotion shadow verified",
-		obs.Str("mode", spec.Mode),
-		obs.Str("first", first.Backend+"/"+first.Worker),
-		obs.Str("second", shadow.Backend+"/"+shadow.Worker),
-		obs.Str("state", first.Res.StateHash))
-	return first.Res, true, nil
+	verdict, _ := co.secondOpinion(ctx, probe, first)
+	return first.Res, verdict == verifyMatch, nil
 }
 
 // HandleDeregister implements POST /v1/workers/{id}/deregister: a graceful
@@ -1181,16 +960,12 @@ func (co *Coordinator) HandleDeregister(w http.ResponseWriter, r *http.Request) 
 	for id := range ws.active {
 		held = append(held, id)
 	}
-	replicaCount := co.setHeldLocked(ws, nil)
-	n := len(co.workers)
+	co.setHeldLocked(ws, nil)
 	co.mu.Unlock()
 	for _, id := range held {
-		co.requeueLease(id, fmt.Errorf("worker %s deregistered: %w", wid, ErrLeaseExpired))
+		co.settle(id, leRequeuedDrain, Outcome{Err: fmt.Errorf("worker %s deregistered: %w", wid, ErrLeaseExpired)})
 	}
 	co.d.ClearWorkerScore(wid)
-	co.workersGauge.Set(int64(n))
-	co.replicaGauge.Set(int64(replicaCount))
-	co.updateHealthGauge()
 	if req.DrainSeconds > 0 {
 		co.drainHist.Observe(req.DrainSeconds)
 	}
@@ -1203,9 +978,13 @@ func (co *Coordinator) HandleDeregister(w http.ResponseWriter, r *http.Request) 
 
 // HandleList implements GET /v1/workers: the fleet view.
 func (co *Coordinator) HandleList(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
+	writeJSON(w, http.StatusOK, co.view(time.Now()))
+}
+
+// view snapshots the fleet, workers sorted by ID.
+func (co *Coordinator) view(now time.Time) FleetView {
 	co.mu.Lock()
-	view := FleetView{Workers: make([]WorkerView, 0, len(co.workers))}
+	view := FleetView{Workers: make([]WorkerView, 0, len(co.workers)), ReplicaHashes: len(co.replicas)}
 	for _, ws := range co.workers {
 		wv := WorkerView{
 			ID:               ws.id,
@@ -1216,9 +995,9 @@ func (co *Coordinator) HandleList(w http.ResponseWriter, r *http.Request) {
 			LastSeenAgo:      now.Sub(ws.lastSeen).Round(time.Millisecond).String(),
 			ActiveLeases:     len(ws.active),
 			ReplicaHeld:      len(ws.held),
-			Leased:           ws.leased,
-			Completed:        ws.completed,
-			Expired:          ws.expired,
+			Leased:           ws.tally[tallyLeased],
+			Completed:        ws.tally[tallyCompleted],
+			Expired:          ws.tally[tallyExpired],
 			Health:           string(ws.health.state),
 			HealthScore:      roundScore(ws.health.score),
 			JoulesTotal:      ws.joules,
@@ -1233,10 +1012,41 @@ func (co *Coordinator) HandleList(w http.ResponseWriter, r *http.Request) {
 		view.Workers = append(view.Workers, wv)
 		view.ActiveLeases += len(ws.active)
 	}
-	view.ReplicaHashes = len(co.replicas)
 	co.mu.Unlock()
 	slices.SortFunc(view.Workers, func(a, b WorkerView) int { return cmp.Compare(a.ID, b.ID) })
-	writeJSON(w, http.StatusOK, view)
+	return view
+}
+
+// collect is the coordinator's scrape-time collector: the fleet gauges are
+// read off the same snapshot GET /v1/workers serves, so the two cannot
+// disagree and a departed worker's series goes with it. Active leases sum
+// per worker name — the stable identity; a re-registered worker briefly has
+// two IDs under one name.
+func (co *Coordinator) collect(emit func(obs.Sample)) {
+	gauge := func(name, help string, v int, labelPairs ...string) {
+		emit(obs.Sample{Name: name, Help: help, Type: "gauge", Value: float64(v), LabelPairs: labelPairs})
+	}
+	view := co.view(time.Now())
+	gauge("dispatch_workers_registered",
+		"Remote workers currently registered with the coordinator.", len(view.Workers))
+	gauge("dispatch_replica_hashes",
+		"Distinct spec hashes held by at least one worker replica store.", view.ReplicaHashes)
+	var names []string
+	leases := map[string]int{}
+	states := map[HealthState]int{}
+	for _, wv := range view.Workers {
+		if _, seen := leases[wv.Name]; !seen {
+			names = append(names, wv.Name)
+		}
+		leases[wv.Name] += wv.ActiveLeases
+		states[HealthState(wv.Health)]++
+	}
+	for _, name := range names {
+		gauge("dispatch_worker_active_leases", "Active leases per remote worker.", leases[name], "worker", name)
+	}
+	for _, state := range []HealthState{HealthHealthy, HealthProbation, HealthQuarantined} {
+		gauge("precisiond_worker_health", "Registered workers by circuit-breaker state.", states[state], "state", string(state))
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

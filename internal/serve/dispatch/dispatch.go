@@ -29,7 +29,7 @@ import (
 )
 
 // ErrLeaseExpired reports a remote attempt whose worker stopped
-// heartbeating (or was cancelled) before uploading a result. The scheduler
+// heartbeating (or deregistered) before uploading a result. The scheduler
 // treats it as a placement failure, not a run failure: the job is re-queued
 // under its original ID without consuming retry budget.
 var ErrLeaseExpired = errors.New("dispatch: lease expired")
@@ -247,17 +247,6 @@ func (d *Dispatcher) Register(b Backend) {
 	if started {
 		b.Start(ctx, d)
 	}
-}
-
-// Backends lists the registered backend names.
-func (d *Dispatcher) Backends() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, len(d.backends))
-	for i, b := range d.backends {
-		names[i] = b.Name()
-	}
-	return names
 }
 
 // Start launches every registered backend; their loops exit when ctx is

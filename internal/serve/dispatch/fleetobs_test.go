@@ -182,7 +182,7 @@ func TestFleetMetricsStalenessAgeing(t *testing.T) {
 	// The flapping worker's scrape slides past the staleness window: its
 	// sample must fall out of the merge, not wedge it.
 	co.mu.Lock()
-	co.workers[w2].scrapedAt = now.Add(-co.staleness() - time.Millisecond)
+	co.workers[w2].scrapedAt = now.Add(-co.cfg.WorkerTTL - time.Millisecond)
 	co.mu.Unlock()
 	body, workers = fleetMetricsBody(t, co)
 	if workers != "1" || !strings.Contains(body, "w_leases_total 3") {

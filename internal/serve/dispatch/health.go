@@ -27,7 +27,7 @@ const (
 const (
 	penGood   = 0.0
 	penFlap   = 0.4 // heartbeat gap: a beat arrived late (or was dropped)
-	penSlow   = 0.8 // completion ≥ slowFactor × fleet median for its shape, or hedge lost
+	penSlow   = 0.8 // completion ≥ slowFactor × fleet median for its shape
 	penExpiry = 1.0 // lease died by TTL — the worker went dark mid-run
 	penReject = 1.0 // upload failed the spec-hash round-trip (422)
 )
@@ -100,6 +100,15 @@ func (h *workerHealth) observe(penalty float64, now time.Time) {
 	case HealthQuarantined:
 		// Scored while quarantined (an old lease finishing, a flap): stay
 		// put — only probeResult readmits.
+	}
+}
+
+// beat scores the gap since the worker's previous sign of life: a heartbeat
+// arriving well past the advertised cadence means earlier beats were
+// dropped or delayed — a flap, scored but far below an expiry.
+func (h *workerHealth) beat(gap, cadence time.Duration, now time.Time) {
+	if gap > cadence*3/2 {
+		h.observe(penFlap, now)
 	}
 }
 

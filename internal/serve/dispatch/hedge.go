@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,72 +48,40 @@ func (r *latRing) add(sec float64) {
 }
 
 // quantile returns the q-quantile (0 ≤ q ≤ 1) of the stored samples and
-// how many samples back it; 0, 0 when empty.
+// how many samples back it; 0, 0 when empty or for a shape never seen (nil).
 func (r *latRing) quantile(q float64) (float64, int) {
-	if r.n == 0 {
+	if r == nil || r.n == 0 {
 		return 0, 0
 	}
-	s := make([]float64, r.n)
-	copy(s, r.buf[:r.n])
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	idx := int(q * float64(len(s)-1))
-	return s[idx], r.n
-}
-
-// latTracker holds per-shape completion latencies. Guarded by the
-// coordinator mutex.
-type latTracker struct {
-	shapes map[string]*latRing
-}
-
-func newLatTracker() *latTracker { return &latTracker{shapes: make(map[string]*latRing)} }
-
-func (t *latTracker) observe(shape string, d time.Duration) {
-	r := t.shapes[shape]
-	if r == nil {
-		r = &latRing{}
-		t.shapes[shape] = r
-	}
-	r.add(d.Seconds())
-}
-
-func (t *latTracker) quantile(shape string, q float64) (float64, int) {
-	r := t.shapes[shape]
-	if r == nil {
-		return 0, 0
-	}
-	return r.quantile(q)
+	s := slices.Clone(r.buf[:r.n])
+	slices.Sort(s)
+	return s[int(q*float64(len(s)-1))], r.n
 }
 
 // hedgeState is the shared scoreboard of one hedged lease: the primary
 // upload and the duplicate attempt each land exactly once, and whichever
 // lands second runs the bit-identity comparison.
 type hedgeState struct {
-	mu            sync.Mutex
-	primaryWorker string
-	hedgeWorker   string
-	primary       *runner.Result
-	hedge         *runner.Result
-	primaryDead   bool // primary landed without a usable result (error/expiry/422)
-	hedgeDead     bool // hedge landed without a usable result
-	settled       bool
+	mu           sync.Mutex
+	primary, dup hedgeSide // primary.worker is fixed at creation, read without mu
+}
+
+// hedgeSide is one executor's landing; res stays nil when it landed without
+// a usable result (error, expiry, 422, no second executor).
+type hedgeSide struct {
+	worker string
+	res    *runner.Result
+	landed bool
 }
 
 // hedgeDeadline is how long a lease of this shape may run before a hedge
 // fires: p99 of completed same-shape leases when enough samples exist,
 // never below the configured floor. Caller holds co.mu.
 func (co *Coordinator) hedgeDeadlineLocked(shape string) time.Duration {
-	dl := co.cfg.HedgeAfter
-	if p99, n := co.lat.quantile(shape, 0.99); n >= co.hp.minSlowSamples {
-		if d := time.Duration(p99 * float64(time.Second)); d > dl {
-			dl = d
-		}
+	if p99, n := co.lat[shape].quantile(0.99); n >= co.hp.minSlowSamples {
+		return max(co.cfg.HedgeAfter, time.Duration(p99*float64(time.Second)))
 	}
-	return dl
+	return co.cfg.HedgeAfter
 }
 
 // maybeHedge scans active leases on the reaper tick and fires duplicates
@@ -126,10 +95,7 @@ func (co *Coordinator) maybeHedge(now time.Time) {
 	for _, ws := range co.workers {
 		totalSlots += ws.caps.Slots
 	}
-	maxHedges := int(co.cfg.HedgeBudget * float64(totalSlots))
-	if maxHedges < 1 {
-		maxHedges = 1
-	}
+	maxHedges := max(1, int(co.cfg.HedgeBudget*float64(totalSlots)))
 	var fire []*lease
 	for _, l := range co.leases {
 		if co.hedgeInflight+len(fire) >= maxHedges {
@@ -146,7 +112,7 @@ func (co *Coordinator) maybeHedge(now time.Time) {
 		if !co.secondExecutorLocked(l, now) {
 			continue
 		}
-		l.hedge = &hedgeState{primaryWorker: l.worker.id}
+		l.hedge = &hedgeState{primary: hedgeSide{worker: l.worker.id}}
 		fire = append(fire, l)
 	}
 	co.hedgeInflight += len(fire)
@@ -170,126 +136,97 @@ func (co *Coordinator) secondExecutorLocked(l *lease, now time.Time) bool {
 	return false
 }
 
+// hedgeEvent counts one straggler-defense event and relays it to the
+// attempt's OnHedge hook.
+func (co *Coordinator) hedgeEvent(a *Attempt, event, worker string) {
+	co.hedgeCtr.With(event).Inc()
+	if a.OnHedge != nil {
+		a.OnHedge(event, worker)
+	}
+}
+
 // fireHedge posts the duplicate attempt and resolves its outcome against
 // the primary through the shared hedgeState.
 func (co *Coordinator) fireHedge(l *lease) {
 	a, hs := l.a, l.hedge
-	co.hedgeCtr.With("fired").Inc()
 	co.log.Info("hedge fired",
 		obs.Str("job", a.JobID), obs.Str("lease", l.id),
-		obs.Str("primary", hs.primaryWorker),
+		obs.Str("primary", hs.primary.worker),
 		obs.Str("running", time.Since(l.granted).Round(time.Millisecond).String()))
-	if a.OnHedge != nil {
-		a.OnHedge("fired", hs.primaryWorker)
-	}
+	co.hedgeEvent(a, "fired", hs.primary.worker)
 	co.d.Go(func() {
 		defer func() {
 			co.mu.Lock()
 			co.hedgeInflight--
 			co.mu.Unlock()
 		}()
-		base := co.runCtx
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(base, co.cfg.VerifyWait)
+		ctx, cancel := context.WithTimeout(co.runCtx, co.cfg.VerifyWait)
 		defer cancel()
-		dup := &Attempt{
-			JobID:         a.JobID,
-			Spec:          a.Spec,
-			N:             a.N,
-			ExcludeWorker: hs.primaryWorker,
-			shadow:        true,
-			// The duplicate's executor ships its own span timeline; route
-			// it to the hedge-specific recorder so it grafts as a sibling
-			// subtree rather than replacing the primary's snapshots.
-			OnWorkerTrace: a.OnHedgeWorkerTrace,
-		}
+		dup := newShadow(a.JobID, a.Spec, a.N, hs.primary.worker)
+		// The duplicate's executor ships its own span timeline; route it to
+		// the hedge-specific recorder so it grafts as a sibling subtree
+		// rather than replacing the primary's snapshots.
+		dup.OnWorkerTrace = a.OnHedgeWorkerTrace
 		out := co.d.Do(ctx, dup)
-		if out.Err != nil || out.Res == nil {
-			co.hedgeCtr.With("skipped").Inc()
-			if a.OnHedge != nil {
-				a.OnHedge("skipped", out.Worker)
-			}
-			co.hedgeLanded(l, hs, nil, out.Worker)
-			return
+		event := "skipped"
+		if out.Err != nil {
+			out.Res = nil
 		}
-		won := a.finish(Outcome{Res: out.Res, Backend: co.Name(), Worker: out.Worker})
-		if won {
-			co.hedgeCtr.With("won").Inc()
-		} else {
-			co.hedgeCtr.With("lost").Inc()
-		}
-		if a.OnHedge != nil {
-			if won {
-				a.OnHedge("won", out.Worker)
-			} else {
-				a.OnHedge("lost", out.Worker)
+		if out.Res != nil {
+			event = "lost"
+			if a.finish(Outcome{Res: out.Res, Backend: co.Name(), Worker: out.Worker}) {
+				event = "won"
 			}
 		}
-		co.hedgeLanded(l, hs, out.Res, out.Worker)
+		co.hedgeEvent(a, event, out.Worker)
+		co.hedgeLanded(l, out.Res, out.Worker)
 	})
 }
 
 // hedgeLanded records one side of a hedged pair (res nil = landed without
 // a usable result). When the caller is the hedge goroutine, worker is the
-// duplicate's executor; when it is HandleComplete, worker is the primary.
-// The second arrival settles: both results present ⇒ demand bit-identical
+// duplicate's executor; when it is settle, worker is the primary. The
+// second arrival settles: both results present ⇒ demand bit-identical
 // state hashes.
-func (co *Coordinator) hedgeLanded(l *lease, hs *hedgeState, res *runner.Result, worker string) {
+func (co *Coordinator) hedgeLanded(l *lease, res *runner.Result, worker string) {
+	a, hs := l.a, l.hedge
 	hs.mu.Lock()
-	fromPrimary := worker == hs.primaryWorker
-	if fromPrimary {
-		hs.primary = res
-		hs.primaryDead = res == nil
+	if worker == hs.primary.worker {
+		hs.primary.res, hs.primary.landed = res, true
 	} else {
-		hs.hedgeWorker = worker
-		hs.hedge = res
-		hs.hedgeDead = res == nil
+		hs.dup = hedgeSide{worker: worker, res: res, landed: true}
 	}
-	bothLanded := (hs.primary != nil || hs.primaryDead) && (hs.hedge != nil || hs.hedgeDead)
-	if !bothLanded || hs.settled {
-		hs.mu.Unlock()
-		return
-	}
-	hs.settled = true
-	primary, hedge, hedgeWorker := hs.primary, hs.hedge, hs.hedgeWorker
+	primary, hedge, hedgeWorker := hs.primary.res, hs.dup.res, hs.dup.worker
+	bothLanded := hs.primary.landed && hs.dup.landed
 	hs.mu.Unlock()
-
-	a := l.a
-	if primary == nil || hedge == nil {
-		// One side never produced a result — nothing to verify. The side
-		// that did (if any) already finished the attempt.
+	// Each side lands once, so the second arrival is the only call that
+	// sees both. A side that produced no result leaves nothing to verify;
+	// the side that did (if any) already finished the attempt.
+	if !bothLanded || primary == nil || hedge == nil {
 		return
 	}
 	// The second lander is the slower executor: this callback runs on its
 	// arrival, so `worker` names it.
 	slower := worker
-	if primary.StateHash == hedge.StateHash {
-		co.hedgeCtr.With("verified").Inc()
-		if a.OnHedge != nil {
-			a.OnHedge("verified", slower)
-		}
-		co.log.Info("hedge verified bit-identical",
-			obs.Str("job", a.JobID), obs.Str("primary", hs.primaryWorker),
-			obs.Str("hedge", hedgeWorker), obs.Str("state", primary.StateHash))
-		if co.cfg.HedgeRecord != nil {
-			co.cfg.HedgeRecord(a.JobID, a.Hash(), primary.StateHash, hs.primaryWorker, hedgeWorker, true)
-		}
-		return
+	event, match := "mismatch", primary.StateHash == hedge.StateHash
+	if match {
+		event = "verified"
 	}
-	co.hedgeCtr.With("mismatch").Inc()
-	if a.OnHedge != nil {
-		a.OnHedge("mismatch", slower)
+	co.hedgeEvent(a, event, slower)
+	if co.cfg.HedgeRecord != nil {
+		co.cfg.HedgeRecord(a.JobID, a.Hash(), primary.StateHash, hs.primary.worker, hedgeWorker, match)
+	}
+	if match {
+		co.log.Info("hedge verified bit-identical",
+			obs.Str("job", a.JobID), obs.Str("primary", hs.primary.worker),
+			obs.Str("hedge", hedgeWorker), obs.Str("state", primary.StateHash))
+		return
 	}
 	co.log.Error("hedge state hash divergence",
 		obs.Str("job", a.JobID),
-		obs.Str("primary", hs.primaryWorker), obs.Str("primary_state", primary.StateHash),
+		obs.Str("primary", hs.primary.worker), obs.Str("primary_state", primary.StateHash),
 		obs.Str("hedge", hedgeWorker), obs.Str("hedge_state", hedge.StateHash),
 		obs.Str("quarantining", slower))
-	if co.cfg.HedgeRecord != nil {
-		co.cfg.HedgeRecord(a.JobID, a.Hash(), primary.StateHash, hs.primaryWorker, hedgeWorker, false)
-	}
 	now := time.Now()
 	co.mu.Lock()
 	if ws, ok := co.workers[slower]; ok {
@@ -297,5 +234,4 @@ func (co *Coordinator) hedgeLanded(l *lease, hs *hedgeState, res *runner.Result,
 		ws.health.enter(HealthQuarantined, now)
 	}
 	co.mu.Unlock()
-	co.updateHealthGauge()
 }

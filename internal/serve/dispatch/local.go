@@ -107,12 +107,8 @@ func (l *Local) runOne(ctx context.Context, a *Attempt) {
 	defer grace.Stop()
 	select {
 	case out := <-ch:
-		if out.err == nil && runCtx.Err() == context.DeadlineExceeded {
-			// Finished after its deadline but before abandonment: the work
-			// is done and deterministic; keep it.
-			a.finish(Outcome{Res: out.res, Backend: l.Name()})
-			return
-		}
+		// A run that finished clean after its deadline but before
+		// abandonment is kept: the work is done and deterministic.
 		a.finish(Outcome{Res: out.res, Err: out.err, Backend: l.Name()})
 	case <-grace.C:
 		l.cfg.Log.Warn("attempt abandoned",

@@ -15,10 +15,12 @@ package queue
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -307,11 +309,7 @@ func (j *Journal) replayAndCompact() error {
 	for _, lj := range live {
 		ordered = append(ordered, lj)
 	}
-	for i := 1; i < len(ordered); i++ { // insertion sort by admission order
-		for k := i; k > 0 && ordered[k-1].order > ordered[k].order; k-- {
-			ordered[k-1], ordered[k] = ordered[k], ordered[k-1]
-		}
-	}
+	slices.SortFunc(ordered, func(a, b *liveJob) int { return cmp.Compare(a.order, b.order) }) // admission order
 	j.pending = make([]PendingJob, len(ordered))
 	for i, lj := range ordered {
 		j.pending[i] = lj.PendingJob
@@ -321,11 +319,7 @@ func (j *Journal) replayAndCompact() error {
 	for _, lc := range liveCamps {
 		orderedCamps = append(orderedCamps, lc)
 	}
-	for i := 1; i < len(orderedCamps); i++ { // insertion sort by admission order
-		for k := i; k > 0 && orderedCamps[k-1].order > orderedCamps[k].order; k-- {
-			orderedCamps[k-1], orderedCamps[k] = orderedCamps[k], orderedCamps[k-1]
-		}
-	}
+	slices.SortFunc(orderedCamps, func(a, b *liveCampaign) int { return cmp.Compare(a.order, b.order) }) // admission order
 	j.pendingCamps = make([]PendingCampaign, len(orderedCamps))
 	for i, lc := range orderedCamps {
 		j.pendingCamps[i] = lc.PendingCampaign
@@ -614,9 +608,6 @@ func (j *Journal) LastError() string {
 	}
 	return j.lastErr.Error()
 }
-
-// Path returns the journal file location.
-func (j *Journal) Path() string { return j.path }
 
 // Close closes the journal file; further appends fail.
 func (j *Journal) Close() error {

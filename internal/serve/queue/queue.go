@@ -500,10 +500,6 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Dispatcher exposes the board the scheduler places attempts on (the one
-// from Config.Dispatch, or the private single-node dispatcher).
-func (s *Scheduler) Dispatcher() *dispatch.Dispatcher { return s.disp }
-
 // Start launches the dispatch backends and releases the policy goroutines;
 // everything exits when ctx is cancelled (cancelling any running solver
 // between steps). Wait blocks until they have drained.

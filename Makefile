@@ -18,7 +18,7 @@ vet:
 verify: build vet test
 
 race:
-	$(GO) test -race ./internal/par/... ./internal/clamr/... ./internal/self/... ./internal/serve/... ./internal/runner/...
+	$(GO) test -race ./internal/par/... ./internal/clamr/... ./internal/self/... ./internal/serve/... ./internal/runner/... ./cmd/precision-worker/...
 
 # Net non-test Go lines outside bench/: the number CHANGES.md reports per PR.
 loc:

@@ -11,21 +11,12 @@
 //	precision-worker -coordinator http://127.0.0.1:7717
 //	precision-worker -slots 2 -lanes 2          # two concurrent leases
 //	precision-worker -apps clamr -modes min,mixed
-//	precision-worker -read-addr 127.0.0.1:0     # serve replica reads + /metrics
+//	precision-worker -read-addr 127.0.0.1:0     # serve /metrics for the fleet scrape
 //	precision-worker -arch 'Tesla P100'         # energy/cost platform profile
 //	precision-worker -drain-grace 60s           # SIGTERM drain deadline
 //	precision-worker -faults 'worker.slow=x:4'  # act as a 4x straggler
 //
-// With -read-addr, the worker also participates in the coordinator's
-// tiered read path (DESIGN.md §11): it keeps a byte-capped replica store
-// of canonical result payloads it computed (pulled back from the
-// coordinator after each completion, since the scheduler re-marshals
-// results before caching), reports the held spec hashes on heartbeats,
-// and serves them at GET <read-addr>/replica/{hash}. The coordinator
-// digest-verifies every replica payload, so this store can only ever
-// offload reads, never corrupt them.
-//
-// Observability (DESIGN.md §14): the same address serves the worker's own
+// Observability (DESIGN.md §14): with -read-addr the worker serves its own
 // Prometheus exposition at GET <read-addr>/metrics, which the coordinator
 // scrapes on the heartbeat cadence and folds into GET /metrics/fleet.
 // Each lease grant carries trace context (the job's trace ID plus the
@@ -63,8 +54,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -85,7 +74,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/serve/cache"
 	"repro/internal/serve/dispatch"
 )
 
@@ -97,8 +85,7 @@ func main() {
 		lanes       = flag.Int("lanes", 0, "solver lanes per lease (default: GOMAXPROCS/slots)")
 		apps        = flag.String("apps", "", "comma-separated app allowlist advertised to the coordinator (empty = all)")
 		modes       = flag.String("modes", "", "comma-separated precision-mode allowlist (empty = all)")
-		readAddr    = flag.String("read-addr", "", "serve completed result payloads for fleet-replicated reads, plus /metrics, on this address (empty = off; use :0 for any free port)")
-		replicaMax  = flag.Int64("replica-bytes", 64<<20, "replica store byte cap (with -read-addr)")
+		readAddr    = flag.String("read-addr", "", "serve this worker's /metrics, the coordinator's scrape target for GET /metrics/fleet, on this address (empty = off; use :0 for any free port)")
 		archName    = flag.String("arch", "Haswell", "platform profile advertised for energy/cost accounting (see internal/arch; empty = none)")
 		faults      = flag.String("faults", "", "arm fault-injection points, e.g. 'worker.heartbeat.drop=n:3'")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "max time a graceful drain (first SIGINT/SIGTERM) waits for running leases before hard-cancelling")
@@ -157,7 +144,7 @@ func main() {
 	defer hardStop()
 	pollCtx, stopPolling := context.WithCancel(runCtx)
 	defer stopPolling()
-	ctx := pollCtx // registration and replica pulls stop at first signal
+	ctx := pollCtx // registration stops at first signal
 
 	var drainedAt atomic.Int64 // unix nanos of the first signal (0 = none)
 	sigCh := make(chan os.Signal, 2)
@@ -191,9 +178,10 @@ func main() {
 			Lanes:      *lanes,
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 		},
-		hc:     &http.Client{Timeout: 0}, // long-polls; per-request bounds below
-		log:    logger,
-		leases: make(map[string]*activeLease),
+		hc:         &http.Client{Timeout: 0}, // long-polls; per-request bounds below
+		log:        logger,
+		leases:     make(map[string]*activeLease),
+		registered: make(chan struct{}, 1),
 
 		mLeases: obs.Default.CounterVec("precision_worker_leases_total",
 			"Leases executed on this node, by outcome.", "outcome"),
@@ -203,20 +191,20 @@ func main() {
 			"Heartbeats sent to the coordinator."),
 	}
 
-	// Replica read serving (DESIGN.md §11, tier 2): hold canonical result
-	// payloads in a byte-capped store and serve them back to the
-	// coordinator so hot reads scale with fleet size. Off unless asked.
-	var replicaSrv *http.Server
+	// The worker's own exposition, advertised at registration as the
+	// coordinator's scrape target (DESIGN.md §14). Off unless asked.
+	var metricsSrv *http.Server
 	if *readAddr != "" {
 		ln, err := net.Listen("tcp", *readAddr)
 		if err != nil {
 			fatal(err)
 		}
-		w.store = cache.NewHotTier(*replicaMax)
 		w.readAddr = "http://" + ln.Addr().String()
-		replicaSrv = &http.Server{Handler: w.replicaMux()}
-		go replicaSrv.Serve(ln)
-		logger.Info("replica read server up", obs.Str("addr", w.readAddr))
+		mux := http.NewServeMux()
+		mux.Handle("GET /metrics", obs.Default.Handler())
+		metricsSrv = &http.Server{Handler: mux}
+		go metricsSrv.Serve(ln)
+		logger.Info("metrics server up", obs.Str("addr", w.readAddr))
 	}
 
 	if err := w.register(ctx); err != nil {
@@ -250,8 +238,8 @@ func main() {
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if replicaSrv != nil {
-		_ = replicaSrv.Shutdown(dctx)
+	if metricsSrv != nil {
+		_ = metricsSrv.Shutdown(dctx)
 	}
 	if err := w.deregister(dctx, drainSeconds); err != nil {
 		logger.Warn("deregister", obs.Str("error", err.Error()))
@@ -283,8 +271,7 @@ type worker struct {
 	caps     dispatch.Capabilities
 	hc       *http.Client
 	log      *obs.Logger
-	store    *cache.HotTier // replica payload store (nil = replica reads off)
-	readAddr string         // advertised base URL of the replica server
+	readAddr string // advertised base URL of the /metrics listener
 
 	mLeases     obs.CounterVec
 	mRunDur     obs.HistogramVec
@@ -296,6 +283,11 @@ type worker struct {
 	heartbeat time.Duration
 	pollWait  time.Duration
 	leases    map[string]*activeLease
+
+	// regMu serializes re-registration (see reregister); registered wakes
+	// the heartbeat loop so a new cadence applies at once.
+	regMu      sync.Mutex
+	registered chan struct{}
 }
 
 // activeLease is one running grant: its cancel hook (fired when the
@@ -387,10 +379,29 @@ func (w *worker) registerOnce(ctx context.Context) error {
 	w.id = resp.WorkerID
 	w.leaseTTL, w.heartbeat, w.pollWait = ttl, hb, poll
 	w.mu.Unlock()
+	select {
+	case w.registered <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 	w.log.Info("registered",
 		obs.Str("worker", resp.WorkerID), obs.Str("name", w.name),
 		obs.Str("lease_ttl", ttl.String()), obs.Str("heartbeat", hb.String()))
 	return nil
+}
+
+// reregister replaces the identity the coordinator forgot (it restarted).
+// Every lease slot and the heartbeat loop sees its own 404 for the stale
+// ID; the first caller registers, and the rest — whose 404 was for an ID
+// that has meanwhile been replaced — just pick up the new one, so one
+// restart registers this node once.
+func (w *worker) reregister(ctx context.Context, stale string) error {
+	w.regMu.Lock()
+	defer w.regMu.Unlock()
+	if w.workerID() != stale {
+		return nil
+	}
+	w.log.Warn("coordinator forgot us; re-registering", obs.Str("worker", stale))
+	return w.register(ctx)
 }
 
 func (w *worker) deregister(ctx context.Context, drainSeconds float64) error {
@@ -450,11 +461,7 @@ func (w *worker) lease(ctx context.Context) (*dispatch.LeaseGrant, error) {
 	case status == http.StatusNoContent:
 		return nil, nil
 	case status == http.StatusNotFound:
-		w.log.Warn("coordinator forgot us; re-registering", obs.Str("worker", id))
-		if rerr := w.register(ctx); rerr != nil {
-			return nil, rerr
-		}
-		return nil, nil
+		return nil, w.reregister(ctx, id)
 	case status != http.StatusOK:
 		return nil, fmt.Errorf("lease: coordinator answered %d", status)
 	}
@@ -559,86 +566,7 @@ func (w *worker) runLease(ctx context.Context, sl *obs.Logger, g *dispatch.Lease
 	req.Trace = &td
 	if cerr := w.complete(ctx, req); cerr != nil {
 		ll.Warn("completion not accepted", obs.Str("error", cerr.Error()))
-	} else if req.Result != nil && w.store != nil {
-		// Replicate the *canonical* payload, not our upload: the scheduler
-		// re-marshals the result (escalations, trace) before caching, so
-		// the cached bytes differ from req.Result. Pull them back.
-		w.pullReplica(ctx, ll, g.SpecHash)
 	}
-}
-
-// pullReplica fetches the coordinator's canonical cached payload for hash
-// and admits it to the replica store. The cache write happens after our
-// complete round-trip returns, so poll briefly; a miss is harmless — the
-// coordinator just won't route replica reads here for this hash.
-func (w *worker) pullReplica(ctx context.Context, ll *obs.Logger, hash string) {
-	for attempt := 0; attempt < 10; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(100 * time.Millisecond):
-			}
-		}
-		payload, digest, ok := w.fetchResult(ctx, hash)
-		if !ok {
-			continue
-		}
-		if digest != "" {
-			sum := sha256.Sum256(payload)
-			if hex.EncodeToString(sum[:]) != digest {
-				ll.Warn("replica pull digest mismatch; dropped", obs.Str("spec_hash", hash))
-				return
-			}
-		}
-		w.store.Put(hash, payload)
-		ll.Debug("replica stored", obs.Str("spec_hash", hash),
-			obs.Str("bytes", fmt.Sprint(len(payload))))
-		return
-	}
-	ll.Debug("replica pull gave up", obs.Str("spec_hash", hash))
-}
-
-func (w *worker) fetchResult(ctx context.Context, hash string) (payload []byte, digest string, ok bool) {
-	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.base+"/v1/results/"+hash, nil)
-	if err != nil {
-		return nil, "", false
-	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return nil, "", false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil || len(body) == 0 {
-		return nil, "", false
-	}
-	return body, resp.Header.Get("X-Payload-SHA256"), true
-}
-
-// replicaMux serves GET /replica/{hash}: the stored canonical payload, or
-// 404. The coordinator re-verifies the digest on its side, so this handler
-// stays trivially dumb. The same mux exposes the worker's own Prometheus
-// exposition at GET /metrics — the scrape target the coordinator federates
-// into GET /metrics/fleet.
-func (w *worker) replicaMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /replica/{hash}", func(rw http.ResponseWriter, r *http.Request) {
-		payload, ok := w.store.Get(r.PathValue("hash"))
-		if !ok {
-			http.NotFound(rw, r)
-			return
-		}
-		rw.Header().Set("Content-Type", "application/json")
-		rw.Write(payload)
-	})
-	mux.Handle("GET /metrics", obs.Default.Handler())
-	return mux
 }
 
 // complete uploads a terminal state with a small transport-level retry.
@@ -687,22 +615,27 @@ func (w *worker) complete(ctx context.Context, req dispatch.CompleteRequest) err
 // "worker.heartbeat.drop" suppresses sends — a partition simulator: the run
 // continues while the coordinator's reaper expires the lease.
 func (w *worker) heartbeatLoop(ctx context.Context) {
-	w.mu.Lock()
-	cadence := w.heartbeat
-	w.mu.Unlock()
-	t := time.NewTicker(cadence)
+	cadence := func() time.Duration {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.heartbeat
+	}
+	t := time.NewTicker(cadence())
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
+		case <-w.registered:
+			// A (re-)registration may have advertised a new cadence: beat
+			// at it from now, not from the next tick of the old one.
+			t.Reset(cadence())
+			continue
 		case <-t.C:
 		}
 		w.mu.Lock()
 		id := w.id
-		// Held is the full replacement set each beat: the coordinator's
-		// read index mirrors the store exactly, evictions included.
-		hb := dispatch.HeartbeatRequest{Held: w.store.Keys()}
+		var hb dispatch.HeartbeatRequest
 		held := make(map[string]*activeLease, len(w.leases))
 		for lid, al := range w.leases {
 			held[lid] = al
@@ -738,8 +671,7 @@ func (w *worker) heartbeatLoop(ctx context.Context) {
 			continue
 		}
 		if status == http.StatusNotFound {
-			w.log.Warn("coordinator forgot us; re-registering", obs.Str("worker", id))
-			_ = w.register(ctx)
+			_ = w.reregister(ctx, id) // fails only when ctx died; the loop exits above
 			continue
 		}
 		for _, lid := range resp.Expired {

@@ -67,9 +67,8 @@
 //
 // Result reads go through the tiered read path (DESIGN.md §11): an
 // in-memory hot tier of pre-serialized payloads (-hot-bytes, 0 disables),
-// ETag/If-None-Match revalidation on the result endpoints, and — when
-// workers serve replicas via -read-addr — digest-verified reads from the
-// fleet before this node's disk is touched.
+// ETag/If-None-Match revalidation on the result endpoints, and below them
+// the digest-verified disk store.
 //
 // With -journal, every accepted job is write-ahead journaled before it is
 // acknowledged; after a crash (even SIGKILL) the daemon replays unfinished
@@ -113,7 +112,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -232,11 +230,6 @@ func main() {
 		}
 	}
 	fleet := dispatch.NewCoordinator(disp, coordCfg)
-	// Remote read tier: a probe that misses the hot tier may be served from
-	// a worker replica store before touching this node's disk. The cache
-	// re-verifies the payload digest, so a wrong or stale replica degrades
-	// to a disk read, never to wrong bytes.
-	c.SetRemote(replicaFetcher(fleet, logger))
 
 	// Closed-loop precision autotuning (DESIGN.md §15): mode:"auto" specs
 	// resolve to the cheapest mode the fleet's evidence supports; demotions
@@ -406,35 +399,6 @@ func main() {
 				obs.Str("trips", fmt.Sprint(fc.Trips)),
 				obs.Str("hits", fmt.Sprint(fc.Hits)))
 		}
-	}
-}
-
-// replicaFetcher adapts the fleet's hash→workers read index into the
-// cache's remote tier hook. One short-deadline GET per probe: replica
-// reads must be strictly cheaper than the disk read they stand in for, so
-// a slow or dead worker fails the probe fast and the cache falls through.
-func replicaFetcher(fleet *dispatch.Coordinator, logger *obs.Logger) cache.RemoteFetch {
-	client := &http.Client{Timeout: 2 * time.Second}
-	const bodyCap = 16 << 20
-	return func(key, wantDigest string) ([]byte, bool) {
-		url, ok := fleet.ReplicaSource(key)
-		if !ok {
-			return nil, false
-		}
-		resp, err := client.Get(url)
-		if err != nil {
-			logger.Debug("replica fetch failed", obs.Str("url", url), obs.Str("error", err.Error()))
-			return nil, false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, false
-		}
-		payload, err := io.ReadAll(io.LimitReader(resp.Body, bodyCap+1))
-		if err != nil || len(payload) == 0 || len(payload) > bodyCap {
-			return nil, false
-		}
-		return payload, true
 	}
 }
 

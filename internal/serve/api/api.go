@@ -17,9 +17,8 @@
 // result endpoints emit a strong ETag derived from the versioned spec
 // hash and honor If-None-Match with 304 Not Modified, so a warm client
 // replaying a sweep moves zero bodies. Behind the revalidation layer,
-// /v1/results/{hash} reads through the cache's tiers — hot memory, fleet
-// replica, local disk — and fleet workers use it to pull the canonical
-// payload bytes they replicate.
+// /v1/results/{hash} reads through the cache's tiers — hot memory, then
+// local disk.
 //
 // With WithCampaigns, server-side parameter sweeps are mounted too:
 //
@@ -130,7 +129,7 @@ func New(sched *queue.Scheduler, c *cache.Cache, opts ...Option) *Server {
 	if s.metrics != nil {
 		s.reads = s.metrics.CounterVec("precisiond_result_reads_total",
 			"Result reads by serving tier: etag_304 (revalidated, no body), "+
-				"job (payload pinned in the job record), hot, remote, disk, miss.",
+				"job (payload pinned in the job record), hot, disk, miss.",
 			"source")
 	}
 	mux := http.NewServeMux()
@@ -439,10 +438,8 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // resultByHash serves a cached result payload directly by spec hash,
-// through the cache's read tiers (hot memory → fleet replica → disk).
-// Fleet workers pull the canonical payload bytes they replicate from this
-// endpoint; the X-Payload-SHA256 header lets them verify the fill. ETag
-// revalidation applies exactly as on the job-scoped endpoint.
+// through the cache's read tiers (hot memory → disk). ETag revalidation
+// applies exactly as on the job-scoped endpoint.
 func (s *Server) resultByHash(w http.ResponseWriter, r *http.Request) {
 	if s.cache == nil {
 		writeError(w, http.StatusNotFound, "no result cache configured")
@@ -463,9 +460,6 @@ func (s *Server) resultByHash(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reads.With(string(src)).Inc()
-	if digest, ok := s.cache.Digest(hash); ok {
-		w.Header().Set("X-Payload-SHA256", digest)
-	}
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Read-Tier", string(src))

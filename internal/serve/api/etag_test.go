@@ -17,7 +17,13 @@ import (
 // restart tests can rebuild the whole stack over the same store.
 func newTestServerAt(t *testing.T, dir string, cfg queue.Config) (*httptest.Server, func()) {
 	t.Helper()
-	c, err := cache.Open(dir, cache.WithHotBytes(1<<20))
+	return newTestServerHot(t, dir, 1<<20, cfg)
+}
+
+// newTestServerHot is newTestServerAt with the hot tier's byte cap chosen.
+func newTestServerHot(t *testing.T, dir string, hotBytes int64, cfg queue.Config) (*httptest.Server, func()) {
+	t.Helper()
+	c, err := cache.Open(dir, cache.WithHotBytes(hotBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +108,7 @@ func TestETagRoundTrip(t *testing.T) {
 }
 
 func TestResultByHashTieredRead(t *testing.T) {
-	srv, _, c := newTestServer(t, queue.Config{Workers: 1})
+	srv, _, _ := newTestServer(t, queue.Config{Workers: 1})
 	v, _ := submit(t, srv, selfSpec(6, "full"))
 	direct := fetchResult(t, srv, v.ID)
 
@@ -116,9 +122,6 @@ func TestResultByHashTieredRead(t *testing.T) {
 	}
 	if tier := resp.Header.Get("X-Read-Tier"); tier == "" {
 		t.Error("no X-Read-Tier header")
-	}
-	if digest, ok := c.Digest(v.SpecHash); !ok || resp.Header.Get("X-Payload-SHA256") != digest {
-		t.Errorf("X-Payload-SHA256 = %q, want recorded digest %q", resp.Header.Get("X-Payload-SHA256"), digest)
 	}
 
 	// Revalidation never touches a tier: 304 straight off the validator.
@@ -164,5 +167,58 @@ func TestETagStableAcrossRestart(t *testing.T) {
 	respFull, bodyFull := get(t, srv2.URL+"/v1/results/"+v2.SpecHash, "")
 	if respFull.StatusCode != http.StatusOK || !bytes.Equal(bodyFull, body1) {
 		t.Fatalf("restarted daemon payload differs (status %d)", respFull.StatusCode)
+	}
+}
+
+// TestDiskTierReadsBelowTinyHotTier sizes the hot tier below any payload, so
+// nothing is ever admitted and every hash read is the disk tier's: the bytes
+// are the first read's, each read is one disk hit and no put, and a matching
+// validator short-circuits before any tier.
+func TestDiskTierReadsBelowTinyHotTier(t *testing.T) {
+	srv, _ := newTestServerHot(t, t.TempDir(), 512, queue.Config{Workers: 1})
+	type stored struct {
+		hash  string
+		first []byte
+	}
+	var results []stored
+	for steps := 3; steps <= 5; steps++ {
+		v, _ := submit(t, srv, clamrSpec(steps, "full"))
+		results = append(results, stored{v.SpecHash, fetchResult(t, srv, v.ID)})
+	}
+	n := uint64(len(results))
+
+	before := fetchStats(t, srv).Cache
+	etags := make([]string, len(results))
+	for i, r := range results {
+		resp, body := get(t, srv.URL+"/v1/results/"+r.hash, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("hash read status %d: %s", resp.StatusCode, body)
+		}
+		if tier := resp.Header.Get("X-Read-Tier"); tier != "disk" {
+			t.Errorf("X-Read-Tier = %q, want disk", tier)
+		}
+		if !bytes.Equal(body, r.first) {
+			t.Errorf("disk read of %s differs from the first read", r.hash[:12])
+		}
+		etags[i] = resp.Header.Get("ETag")
+	}
+	after := fetchStats(t, srv).Cache
+	if got := after.DiskHits - before.DiskHits; got != n {
+		t.Errorf("disk_hits grew by %d, want %d", got, n)
+	}
+	if after.Puts != before.Puts || after.HotHits != before.HotHits || after.HotEntries != 0 {
+		t.Errorf("puts %d→%d, hot_hits %d→%d, hot_entries %d; want no puts and nothing hot",
+			before.Puts, after.Puts, before.HotHits, after.HotHits, after.HotEntries)
+	}
+
+	for i, r := range results {
+		resp, body := get(t, srv.URL+"/v1/results/"+r.hash, etags[i])
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Errorf("revalidation = %d with %d bytes, want bare 304", resp.StatusCode, len(body))
+		}
+	}
+	if reval := fetchStats(t, srv).Cache; reval.DiskHits != after.DiskHits || reval.Puts != after.Puts {
+		t.Errorf("304s moved counters: disk_hits %d→%d, puts %d→%d",
+			after.DiskHits, reval.DiskHits, after.Puts, reval.Puts)
 	}
 }

@@ -6,15 +6,7 @@
 // holding the pre-serialized response bytes. A hot hit is one map lookup;
 // no file I/O, no JSON round-trip.
 //
-// Tier 2 — remote: an optional fleet hook (SetRemote) consulted on a hot
-// miss, before the local disk. Fleet workers replicate payloads they
-// computed; fetching from a replica offloads this node's disk, so
-// aggregate read throughput scales with fleet size. A remote payload is
-// admitted only if it hashes to the digest this cache recorded when the
-// payload was stored — bit-identity is enforced locally, never trusted to
-// the network.
-//
-// Tier 3 — disk: the durable store. Entries live at <dir>/<h[:2]>/<h>.res
+// Tier 2 — disk: the durable store. Entries live at <dir>/<h[:2]>/<h>.res
 // (two-level fan-out so huge sweeps do not produce one enormous
 // directory). Each file is a one-line header — format tag, key, payload
 // SHA-256 — followed by the payload bytes. Writes go through a temp file
@@ -30,9 +22,8 @@
 //
 // Fills below the hot tier are collapsed by a per-key singleflight: a
 // stampede of concurrent readers on one uncached key performs exactly one
-// remote-or-disk read; the followers are handed the leader's verified
-// bytes from memory (and counted as hot hits — they were served at
-// memory speed).
+// disk read; the followers are handed the leader's verified bytes from
+// memory (and counted as hot hits — they were served at memory speed).
 //
 // (Tier 1 of the read path — ETag/If-None-Match revalidation — lives in
 // internal/serve/api; it short-circuits before any cache call.)
@@ -60,12 +51,6 @@ import (
 // headerTag identifies (and versions) the entry encoding.
 const headerTag = "PCACHE1"
 
-// digestIndexCap bounds the in-memory key→digest index that gates remote
-// reads. At ~100 bytes per entry the cap is a few MiB; when it fills the
-// index is reset and repopulates from subsequent puts and disk reads (a
-// reset only costs remote-tier eligibility until a key is re-seen).
-const digestIndexCap = 1 << 16
-
 // Source reports which tier served a Fetch.
 type Source string
 
@@ -73,45 +58,26 @@ type Source string
 // SourceHot: it was served verified bytes from memory, whatever tier the
 // flight leader read.
 const (
-	SourceHot    Source = "hot"
-	SourceRemote Source = "remote"
-	SourceDisk   Source = "disk"
-	SourceMiss   Source = ""
+	SourceHot  Source = "hot"
+	SourceDisk Source = "disk"
+	SourceMiss Source = ""
 )
 
-// RemoteFetch retrieves the payload for key from a fleet replica, or
-// reports false. wantDigest is the hex SHA-256 the payload must hash to;
-// implementations may use it to pick or pre-check a source, but the cache
-// re-verifies the returned bytes regardless, so a buggy or malicious
-// replica can only cause a fallthrough to disk, never a wrong payload.
-type RemoteFetch func(key, wantDigest string) ([]byte, bool)
-
 // Cache is a content-addressed store rooted at one directory, fronted by
-// the optional hot and remote tiers. All methods are safe for concurrent
-// use; the atomic counters feed /v1/cache/stats.
+// the optional hot tier. All methods are safe for concurrent use; the
+// atomic counters feed /v1/cache/stats.
 type Cache struct {
 	dir string
 	hot *HotTier // nil = tier disabled
-
-	// remote is the tier-2 hook (atomic: wired after Open, once the fleet
-	// coordinator exists).
-	remote atomic.Value // RemoteFetch
-
-	// digests records the payload SHA-256 for every key this process has
-	// stored or verified-read — the local ground truth a remote payload
-	// must match. Keys absent here are simply not remote-eligible.
-	digestMu sync.Mutex
-	digests  map[string]string
 
 	// flights collapses concurrent below-hot fills per key.
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	hotHits, remoteHits, diskHits atomic.Uint64
-	misses, puts                  atomic.Uint64
-	remoteRejected                atomic.Uint64
-	corruptDropped                atomic.Uint64
-	errors                        atomic.Uint64
+	hotHits, diskHits atomic.Uint64
+	misses, puts      atomic.Uint64
+	corruptDropped    atomic.Uint64
+	errors            atomic.Uint64
 	// lastErr retains the most recent put failure or corruption notice for
 	// /healthz forensics; it is never cleared.
 	lastErr atomic.Value // string
@@ -158,18 +124,16 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	r.Collect(func(emit func(obs.Sample)) {
 		const name = "precisiond_cache_events_total"
 		const help = "Result-cache traffic by event (mirrors /v1/cache/stats)."
-		hot, remote, disk := c.hotHits.Load(), c.remoteHits.Load(), c.diskHits.Load()
+		hot, disk := c.hotHits.Load(), c.diskHits.Load()
 		for _, e := range []struct {
 			event string
 			v     uint64
 		}{
-			{"hit", hot + remote + disk},
+			{"hit", hot + disk},
 			{"hot_hit", hot},
-			{"remote_hit", remote},
 			{"disk_hit", disk},
 			{"miss", c.misses.Load()},
 			{"put", c.puts.Load()},
-			{"remote_rejected", c.remoteRejected.Load()},
 			{"corrupt_dropped", c.corruptDropped.Load()},
 			{"error", c.errors.Load()},
 		} {
@@ -200,7 +164,6 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	}
 	c := &Cache{
 		dir:     dir,
-		digests: make(map[string]string),
 		flights: make(map[string]*flight),
 	}
 	for _, o := range opts {
@@ -209,37 +172,8 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	return c, nil
 }
 
-// SetRemote wires the tier-2 fleet hook (nil-safe to never call). Wired
-// after Open because the fleet coordinator is built later in the daemon's
-// startup; reads before the call simply skip the remote tier.
-func (c *Cache) SetRemote(fetch RemoteFetch) {
-	if fetch != nil {
-		c.remote.Store(fetch)
-	}
-}
-
 // Hot exposes the hot tier (nil when disabled) — stats and tests.
 func (c *Cache) Hot() *HotTier { return c.hot }
-
-// Digest returns the recorded payload SHA-256 for key, if this process
-// has stored or verified-read it.
-func (c *Cache) Digest(key string) (string, bool) {
-	c.digestMu.Lock()
-	defer c.digestMu.Unlock()
-	d, ok := c.digests[key]
-	return d, ok
-}
-
-// recordDigest remembers a verified payload digest, resetting the index
-// at its cap (see digestIndexCap).
-func (c *Cache) recordDigest(key, digest string) {
-	c.digestMu.Lock()
-	if len(c.digests) >= digestIndexCap {
-		c.digests = make(map[string]string)
-	}
-	c.digests[key] = digest
-	c.digestMu.Unlock()
-}
 
 // Dir returns the cache root.
 func (c *Cache) Dir() string { return c.dir }
@@ -306,8 +240,7 @@ func (c *Cache) Put(key string, payload []byte) error {
 	c.puts.Add(1)
 	// Write-through population: a just-completed job is the likeliest next
 	// read (sweep replays, duplicate submissions), so the response bytes go
-	// hot immediately and the digest becomes the remote-tier ground truth.
-	c.recordDigest(key, hex.EncodeToString(sum[:]))
+	// hot immediately.
 	c.hot.Put(key, payload)
 	return nil
 }
@@ -319,8 +252,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // Fetch returns the payload stored under key and the tier that served it:
-// hot memory, a verified fleet replica, or the local disk — in that
-// order, each tier falling back to the next. A missing, torn or corrupt
+// hot memory, then the local disk. A missing, torn or corrupt
 // entry reports (nil, SourceMiss, false); corrupt disk entries are
 // quarantined out of the lookup path so they are recomputed rather than
 // rediscovered on every request, while the bad bytes stay on disk for
@@ -336,7 +268,7 @@ func (c *Cache) Fetch(key string) ([]byte, Source, bool) {
 	}
 
 	// Below the hot tier, collapse the stampede: one flight per key does
-	// the remote-or-disk read; followers share its verified bytes.
+	// the disk read; followers share its verified bytes.
 	c.flightMu.Lock()
 	if f, inFlight := c.flights[key]; inFlight {
 		c.flightMu.Unlock()
@@ -361,14 +293,9 @@ func (c *Cache) Fetch(key string) ([]byte, Source, bool) {
 	return payload, src, ok
 }
 
-// fill reads one key from the remote tier or disk (the flight leader's
-// path) and populates the hot tier on success.
+// fill reads one key from disk (the flight leader's path) and populates
+// the hot tier on success.
 func (c *Cache) fill(key string) ([]byte, Source, bool) {
-	if payload, ok := c.fetchRemote(key); ok {
-		c.remoteHits.Add(1)
-		c.hot.Put(key, payload)
-		return payload, SourceRemote, true
-	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		c.misses.Add(1)
@@ -386,35 +313,8 @@ func (c *Cache) fill(key string) ([]byte, Source, bool) {
 		return nil, SourceMiss, false
 	}
 	c.diskHits.Add(1)
-	sum := sha256.Sum256(payload)
-	c.recordDigest(key, hex.EncodeToString(sum[:]))
 	c.hot.Put(key, payload)
 	return payload, SourceDisk, true
-}
-
-// fetchRemote tries the fleet tier: only keys whose payload digest this
-// process has locally recorded are eligible (bit-identity is never
-// delegated), and the returned bytes must hash to that digest.
-func (c *Cache) fetchRemote(key string) ([]byte, bool) {
-	fetch, _ := c.remote.Load().(RemoteFetch)
-	if fetch == nil {
-		return nil, false
-	}
-	want, ok := c.Digest(key)
-	if !ok {
-		return nil, false
-	}
-	payload, ok := fetch(key, want)
-	if !ok {
-		return nil, false
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != want {
-		c.remoteRejected.Add(1)
-		c.lastErr.Store("remote replica payload rejected: " + key)
-		return nil, false
-	}
-	return payload, true
 }
 
 // quarantine moves a corrupt entry aside to <entry>.corrupt — a rename,
@@ -471,17 +371,13 @@ func (c *Cache) verify(key string, data []byte) ([]byte, bool) {
 // Hits is kept as the sum of the per-tier hit counters so pre-tiering
 // consumers keep working; the split fields say where each hit was served.
 type Stats struct {
-	Hits uint64 `json:"hits"` // hot + remote + disk (compatibility sum)
+	Hits uint64 `json:"hits"` // hot + disk (compatibility sum)
 	// HotHits counts reads served from the in-memory tier, including
 	// singleflight followers handed the leader's bytes.
-	HotHits uint64 `json:"hot_hits"`
-	// RemoteHits counts reads served by a fleet replica; RemoteRejected
-	// counts replica payloads that failed local digest verification.
-	RemoteHits     uint64 `json:"remote_hits"`
+	HotHits        uint64 `json:"hot_hits"`
 	DiskHits       uint64 `json:"disk_hits"`
 	Misses         uint64 `json:"misses"`
 	Puts           uint64 `json:"puts"`
-	RemoteRejected uint64 `json:"remote_rejected"`
 	CorruptDropped uint64 `json:"corrupt_dropped"`
 	Errors         uint64 `json:"errors"`
 	// HotEntries/HotBytes/HotMaxBytes describe the hot tier (zero when
@@ -501,18 +397,16 @@ type Stats struct {
 func (c *Cache) Stats() Stats {
 	s := Stats{
 		HotHits:        c.hotHits.Load(),
-		RemoteHits:     c.remoteHits.Load(),
 		DiskHits:       c.diskHits.Load(),
 		Misses:         c.misses.Load(),
 		Puts:           c.puts.Load(),
-		RemoteRejected: c.remoteRejected.Load(),
 		CorruptDropped: c.corruptDropped.Load(),
 		Errors:         c.errors.Load(),
 		HotEntries:     c.hot.Len(),
 		HotBytes:       c.hot.Bytes(),
 		HotMaxBytes:    c.hot.MaxBytes(),
 	}
-	s.Hits = s.HotHits + s.RemoteHits + s.DiskHits
+	s.Hits = s.HotHits + s.DiskHits
 	filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return nil

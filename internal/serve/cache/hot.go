@@ -22,8 +22,7 @@ import (
 
 // HotTier is a byte-capped LRU of pre-serialized payloads. The zero value
 // is not usable; build one with NewHotTier. All methods are safe for
-// concurrent use. It is exported so cmd/precision-worker can reuse it as
-// the fleet replica store.
+// concurrent use.
 type HotTier struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -117,21 +116,6 @@ func (h *HotTier) Remove(key string) {
 		delete(h.entries, key)
 		h.bytes -= int64(len(e.payload))
 	}
-}
-
-// Keys lists the resident keys, most recently used first — the fleet
-// replica store reports this set on worker heartbeats.
-func (h *HotTier) Keys() []string {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	keys := make([]string, 0, len(h.entries))
-	for el := h.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*hotEntry).key)
-	}
-	return keys
 }
 
 // Len reports the resident entry count.

@@ -2,27 +2,20 @@ package cache
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
 
-func digestOf(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
-}
-
-// TestSingleflightCollapsesStampede holds the flight leader inside its fill
-// (via a blocking remote hook) while a stampede of readers piles onto the
-// same uncached key, then releases it and checks exactly one below-hot read
-// happened: one remote probe, one disk read, everyone else served from
-// memory with byte-identical payloads.
+// TestSingleflightCollapsesStampede holds the flight leader inside its disk
+// read (the entry is swapped for a FIFO, so the read blocks until the test
+// feeds it) while a stampede of readers piles onto the same uncached key,
+// then releases it and checks exactly one below-hot read happened: one disk
+// read, everyone else served from memory with byte-identical payloads.
 func TestSingleflightCollapsesStampede(t *testing.T) {
 	dir := t.TempDir()
 	writer, err := Open(dir)
@@ -39,18 +32,16 @@ func TestSingleflightCollapsesStampede(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Make the key remote-eligible so the hook below can gate the leader.
-	c.recordDigest(key, digestOf(payload))
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var remoteCalls atomic.Int32
-	c.SetRemote(func(k, want string) ([]byte, bool) {
-		if remoteCalls.Add(1) == 1 {
-			close(entered)
-		}
-		<-release
-		return nil, false // fall through to the disk tier
-	})
+	entry, err := os.ReadFile(c.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(c.path(key)); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Mkfifo(c.path(key), 0o644); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
 
 	const stampede = 16
 	results := make([][]byte, stampede)
@@ -67,13 +58,27 @@ func TestSingleflightCollapsesStampede(t *testing.T) {
 
 	wg.Add(1)
 	go fetch(0)
-	<-entered // the leader is inside its fill; the flight is registered
+	// Wait until the leader has registered its flight; it then blocks
+	// opening the FIFO until the write below.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.flightMu.Lock()
+		n := len(c.flights)
+		c.flightMu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leader never registered its flight")
+		}
+	}
 	for i := 1; i < stampede; i++ {
 		wg.Add(1)
 		go fetch(i)
 	}
 	time.Sleep(50 * time.Millisecond) // let the stampede join the flight
-	close(release)
+	if err := os.WriteFile(c.path(key), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 
 	for i, got := range results {
@@ -82,9 +87,6 @@ func TestSingleflightCollapsesStampede(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if remoteCalls.Load() != 1 {
-		t.Errorf("remote probed %d times, want 1", remoteCalls.Load())
-	}
 	if s.DiskHits != 1 {
 		t.Errorf("DiskHits = %d, want exactly 1", s.DiskHits)
 	}
@@ -93,6 +95,9 @@ func TestSingleflightCollapsesStampede(t *testing.T) {
 	}
 	if s.Misses != 0 {
 		t.Errorf("Misses = %d, want 0", s.Misses)
+	}
+	if s.Hits != s.HotHits+s.DiskHits {
+		t.Errorf("Hits = %d, want HotHits+DiskHits = %d", s.Hits, s.HotHits+s.DiskHits)
 	}
 	// The fill populated the hot tier: one more read stays in memory.
 	if _, src, ok := c.Fetch(key); !ok || src != SourceHot {
@@ -214,102 +219,6 @@ func TestCorruptEntryDoesNotPoisonHotTier(t *testing.T) {
 	}
 	if s := c.Stats(); s.CorruptDropped != 1 {
 		t.Errorf("CorruptDropped = %d, want 1", s.CorruptDropped)
-	}
-}
-
-// TestRemoteTierServesVerifiedBytes deletes the local disk entry and checks
-// a digest-matching replica payload is served as SourceRemote — and that it
-// is byte-identical to what the disk held.
-func TestRemoteTierServesVerifiedBytes(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, WithHotBytes(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey("replica")
-	payload := []byte(`{"replicated":true}`)
-	if err := c.Put(key, payload); err != nil {
-		t.Fatal(err)
-	}
-	c.Hot().Remove(key)
-	if err := os.Remove(filepath.Join(dir, key[:2], key+".res")); err != nil {
-		t.Fatal(err)
-	}
-	c.SetRemote(func(k, want string) ([]byte, bool) {
-		if k != key || want != digestOf(payload) {
-			t.Errorf("remote asked for %q digest %q", k, want)
-		}
-		return payload, true
-	})
-	got, src, ok := c.Fetch(key)
-	if !ok || src != SourceRemote || !bytes.Equal(got, payload) {
-		t.Fatalf("Fetch = %q, %q, %v; want remote hit", got, src, ok)
-	}
-	if s := c.Stats(); s.RemoteHits != 1 || s.DiskHits != 0 {
-		t.Errorf("stats = %+v, want one remote hit, zero disk", s)
-	}
-	// The replica fill populated the hot tier.
-	if _, src, ok := c.Fetch(key); !ok || src != SourceHot {
-		t.Errorf("second Fetch source = %q, %v; want hot", src, ok)
-	}
-}
-
-// TestRemoteTierRejectsWrongBytes feeds the remote hook a payload that does
-// not hash to the recorded digest: it must be rejected, never served, and
-// the read must fall through to the (correct) disk entry.
-func TestRemoteTierRejectsWrongBytes(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, WithHotBytes(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey("liar")
-	payload := []byte("the truth")
-	if err := c.Put(key, payload); err != nil {
-		t.Fatal(err)
-	}
-	c.Hot().Remove(key)
-	c.SetRemote(func(k, want string) ([]byte, bool) {
-		return []byte("a convincing lie"), true
-	})
-	got, src, ok := c.Fetch(key)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("Fetch = %q, %v; want the disk payload", got, ok)
-	}
-	if src != SourceDisk {
-		t.Fatalf("source = %q, want disk fallthrough", src)
-	}
-	s := c.Stats()
-	if s.RemoteRejected != 1 {
-		t.Errorf("RemoteRejected = %d, want 1", s.RemoteRejected)
-	}
-	if s.RemoteHits != 0 {
-		t.Errorf("RemoteHits = %d, want 0", s.RemoteHits)
-	}
-}
-
-// TestRemoteTierSkippedWithoutDigest: a key this process has never stored
-// or verified-read is not remote-eligible at all.
-func TestRemoteTierSkippedWithoutDigest(t *testing.T) {
-	dir := t.TempDir()
-	writer, _ := Open(dir)
-	key := testKey("unknown-digest")
-	payload := []byte("written by another process")
-	if err := writer.Put(key, payload); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := Open(dir, WithHotBytes(1<<20))
-	c.SetRemote(func(k, want string) ([]byte, bool) {
-		t.Error("remote consulted for a digest-unknown key")
-		return nil, false
-	})
-	got, src, ok := c.Fetch(key)
-	if !ok || src != SourceDisk || !bytes.Equal(got, payload) {
-		t.Fatalf("Fetch = %q, %q, %v; want disk hit", got, src, ok)
-	}
-	// The verified disk read recorded the digest: the key is now eligible.
-	if _, ok := c.Digest(key); !ok {
-		t.Error("disk read did not record the payload digest")
 	}
 }
 

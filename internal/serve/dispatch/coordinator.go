@@ -43,10 +43,8 @@ func (c Capabilities) matches(spec runner.ExperimentSpec) bool {
 // Durations travel as time.ParseDuration strings.
 type (
 	// RegisterRequest announces a worker. ReadAddr, when non-empty, is the
-	// base URL of the worker's replica read listener — the worker will
-	// serve GET <ReadAddr>/replica/{hash} for spec hashes it reports
-	// holding on heartbeats, and the coordinator may route hot reads there
-	// (DESIGN.md §11).
+	// base URL of the worker's /metrics listener — the scrape target the
+	// coordinator federates into GET /metrics/fleet (DESIGN.md §14).
 	RegisterRequest struct {
 		Name         string       `json:"name"`
 		ReadAddr     string       `json:"read_addr,omitempty"`
@@ -84,14 +82,10 @@ type (
 		TraceID    string                `json:"trace_id,omitempty"`
 		ParentSpan string                `json:"parent_span,omitempty"`
 	}
-	// HeartbeatRequest extends the worker's active leases, relays per-lease
-	// solver progress, and refreshes the replica read index: Held is the
-	// full set of spec hashes the worker's replica store currently holds
-	// (a replacement, not a delta — an eviction on the worker must fall
-	// out of the index on the next beat).
+	// HeartbeatRequest extends the worker's active leases and relays
+	// per-lease solver progress.
 	HeartbeatRequest struct {
 		Leases []LeaseProgress `json:"leases"`
-		Held   []string        `json:"held,omitempty"`
 	}
 	// LeaseProgress is one lease's progress report. Trace, when non-nil,
 	// is a snapshot of the worker's span timeline for this lease so far —
@@ -140,7 +134,6 @@ type (
 		RegisteredAt time.Time `json:"registered_at"`
 		LastSeenAgo  string    `json:"last_seen_ago"`
 		ActiveLeases int       `json:"active_leases"`
-		ReplicaHeld  int       `json:"replica_held"`
 		Leased       uint64    `json:"leased"`
 		Completed    uint64    `json:"completed"`
 		Expired      uint64    `json:"expired"`
@@ -156,14 +149,12 @@ type (
 		JoulesTotal      float64 `json:"joules_total"`
 		CostDollarsTotal float64 `json:"cost_dollars_total"`
 	}
-	// FleetView is the GET /v1/workers payload. ReplicaHashes counts the
-	// distinct spec hashes held by at least one worker replica.
-	// ActiveLeases stays the final field: smoke scripts anchor on it being
-	// last in the encoded JSON.
+	// FleetView is the GET /v1/workers payload. ActiveLeases stays the
+	// final field: smoke scripts anchor on it being last in the encoded
+	// JSON.
 	FleetView struct {
-		Workers       []WorkerView `json:"workers"`
-		ReplicaHashes int          `json:"replica_hashes"`
-		ActiveLeases  int          `json:"active_leases"`
+		Workers      []WorkerView `json:"workers"`
+		ActiveLeases int          `json:"active_leases"`
 	}
 )
 
@@ -238,12 +229,6 @@ type Coordinator struct {
 	hedgeInflight int
 	nextWorker    uint64
 	nextLease     uint64
-	// replicas is the fleet read index: spec hash → workers whose replica
-	// store holds that payload. Maintained from heartbeat Held reports;
-	// rrSeq round-robins reads across holders so one hot hash spreads over
-	// every replica instead of hammering the first.
-	replicas map[string]map[string]*workerState
-	rrSeq    uint64
 	// profiles remembers each worker name's last reported arch/capability
 	// fingerprint across registrations (it survives worker pruning —
 	// worker IDs are fresh per register, names are the stable identity),
@@ -260,7 +245,6 @@ type workerState struct {
 	registeredAt time.Time
 	lastSeen     time.Time
 	active       map[string]*lease
-	held         map[string]struct{}
 	health       *workerHealth
 
 	tally [numTallies]uint64 // leased / completed / expired, moved by the lease table
@@ -324,7 +308,6 @@ func NewCoordinator(d *Dispatcher, cfg CoordinatorConfig) *Coordinator {
 		workers:  make(map[string]*workerState),
 		leases:   make(map[string]*lease),
 		lat:      make(map[string]*latRing),
-		replicas: make(map[string]map[string]*workerState),
 		profiles: make(map[string]string),
 	}
 	if cfg.Obs != nil {
@@ -454,7 +437,6 @@ func (co *Coordinator) reap(now time.Time) {
 	for id, w := range co.workers {
 		if len(w.active) == 0 && now.Sub(w.lastSeen) > co.cfg.WorkerTTL {
 			delete(co.workers, id)
-			co.setHeldLocked(w, nil) // its replicas are unreachable now
 			pruned = append(pruned, w)
 		}
 	}
@@ -487,53 +469,6 @@ func (co *Coordinator) HealthyCapacity() int {
 	return n
 }
 
-// setHeldLocked replaces a worker's replica-held set and reindexes;
-// caller holds co.mu.
-func (co *Coordinator) setHeldLocked(ws *workerState, held []string) {
-	for h := range ws.held {
-		if holders, ok := co.replicas[h]; ok {
-			delete(holders, ws.id)
-			if len(holders) == 0 {
-				delete(co.replicas, h)
-			}
-		}
-	}
-	ws.held = make(map[string]struct{}, len(held))
-	for _, h := range held {
-		ws.held[h] = struct{}{}
-		holders, ok := co.replicas[h]
-		if !ok {
-			holders = make(map[string]*workerState, 1)
-			co.replicas[h] = holders
-		}
-		holders[ws.id] = ws
-	}
-}
-
-// ReplicaSource returns the replica read URL for hash on some worker that
-// reported holding it — round-robin across holders so a hot hash spreads
-// over the fleet — or false when no reachable replica exists. The URL
-// serves the raw payload bytes; the caller (the cache's remote tier)
-// verifies them against its recorded digest.
-func (co *Coordinator) ReplicaSource(hash string) (string, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	holders := co.replicas[hash]
-	ids := make([]string, 0, len(holders))
-	for id, ws := range holders {
-		if ws.readAddr != "" {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return "", false
-	}
-	slices.Sort(ids)
-	co.rrSeq++
-	ws := holders[ids[co.rrSeq%uint64(len(ids))]]
-	return ws.readAddr + "/replica/" + hash, true
-}
-
 // HandleRegister implements POST /v1/workers/register.
 func (co *Coordinator) HandleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
@@ -556,7 +491,6 @@ func (co *Coordinator) HandleRegister(w http.ResponseWriter, r *http.Request) {
 		registeredAt: now,
 		lastSeen:     now,
 		active:       make(map[string]*lease),
-		held:         make(map[string]struct{}),
 		health:       newWorkerHealth(co.hp, now),
 	}
 	if ws.name == "" {
@@ -731,7 +665,6 @@ func (co *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.health.beat(now.Sub(ws.lastSeen), co.cfg.Heartbeat, now)
 	ws.lastSeen = now
-	co.setHeldLocked(ws, req.Held)
 	for _, hb := range req.Leases {
 		l, ok := co.leases[hb.LeaseID]
 		if !ok || l.worker != ws {
@@ -960,7 +893,6 @@ func (co *Coordinator) HandleDeregister(w http.ResponseWriter, r *http.Request) 
 	for id := range ws.active {
 		held = append(held, id)
 	}
-	co.setHeldLocked(ws, nil)
 	co.mu.Unlock()
 	for _, id := range held {
 		co.settle(id, leRequeuedDrain, Outcome{Err: fmt.Errorf("worker %s deregistered: %w", wid, ErrLeaseExpired)})
@@ -984,7 +916,7 @@ func (co *Coordinator) HandleList(w http.ResponseWriter, r *http.Request) {
 // view snapshots the fleet, workers sorted by ID.
 func (co *Coordinator) view(now time.Time) FleetView {
 	co.mu.Lock()
-	view := FleetView{Workers: make([]WorkerView, 0, len(co.workers)), ReplicaHashes: len(co.replicas)}
+	view := FleetView{Workers: make([]WorkerView, 0, len(co.workers))}
 	for _, ws := range co.workers {
 		wv := WorkerView{
 			ID:               ws.id,
@@ -994,7 +926,6 @@ func (co *Coordinator) view(now time.Time) FleetView {
 			RegisteredAt:     ws.registeredAt,
 			LastSeenAgo:      now.Sub(ws.lastSeen).Round(time.Millisecond).String(),
 			ActiveLeases:     len(ws.active),
-			ReplicaHeld:      len(ws.held),
 			Leased:           ws.tally[tallyLeased],
 			Completed:        ws.tally[tallyCompleted],
 			Expired:          ws.tally[tallyExpired],
@@ -1029,8 +960,6 @@ func (co *Coordinator) collect(emit func(obs.Sample)) {
 	view := co.view(time.Now())
 	gauge("dispatch_workers_registered",
 		"Remote workers currently registered with the coordinator.", len(view.Workers))
-	gauge("dispatch_replica_hashes",
-		"Distinct spec hashes held by at least one worker replica store.", view.ReplicaHashes)
 	var names []string
 	leases := map[string]int{}
 	states := map[HealthState]int{}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -157,7 +158,6 @@ func (r *leaseRig) checkParity() FleetView {
 	view, got := r.view(), r.series()
 	want := map[string]float64{
 		"dispatch_workers_registered": float64(len(view.Workers)),
-		"dispatch_replica_hashes":     float64(view.ReplicaHashes),
 	}
 	for _, s := range []HealthState{HealthHealthy, HealthProbation, HealthQuarantined} {
 		want[fmt.Sprintf(`precisiond_worker_health{state="%s"}`, s)] = 0
@@ -304,7 +304,7 @@ func TestLeaseTable(t *testing.T) {
 				t.Parallel()
 				r := newLeaseRig(t, CoordinatorConfig{})
 				wid := registerTestWorker(t, r.co, RegisterRequest{Name: "box", Capabilities: Capabilities{Slots: 1}})
-				if code := r.call(r.co.HandleHeartbeat, wid, HeartbeatRequest{Held: []string{"h1", "h2"}}, nil); code != http.StatusOK {
+				if code := r.call(r.co.HandleHeartbeat, wid, HeartbeatRequest{}, nil); code != http.StatusOK {
 					t.Fatalf("heartbeat = %d", code)
 				}
 				if probe {
@@ -463,5 +463,41 @@ func TestSecondOpinionCountsOnce(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOldWorkerBodiesAccepted is the rolling-upgrade case: a worker built
+// before the read path lost its fleet tier still sends read_addr at
+// registration and a held array on every heartbeat. Both are answered 200,
+// and the heartbeat's extra field leaves the fleet listing as it was.
+func TestOldWorkerBodiesAccepted(t *testing.T) {
+	r := newLeaseRig(t, CoordinatorConfig{})
+	var reg RegisterResponse
+	if code := r.call(r.co.HandleRegister, "", json.RawMessage(
+		`{"name":"old","read_addr":"http://127.0.0.1:7801","capabilities":{"slots":2}}`), &reg); code != http.StatusOK {
+		t.Fatalf("register = %d", code)
+	}
+	listing := func() map[string]any {
+		rec := httptest.NewRecorder()
+		r.co.HandleList(rec, httptest.NewRequest(http.MethodGet, "/v1/workers", nil))
+		var v struct {
+			Workers []map[string]any `json:"workers"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || len(v.Workers) != 1 {
+			t.Fatalf("listing %s: %v", rec.Body, err)
+		}
+		delete(v.Workers[0], "last_seen_ago") // wall clock
+		return v.Workers[0]
+	}
+	before := listing()
+	if code := r.call(r.co.HandleHeartbeat, reg.WorkerID, json.RawMessage(
+		`{"leases":[],"held":["`+strings.Repeat("ab", 32)+`","`+strings.Repeat("cd", 32)+`"]}`), nil); code != http.StatusOK {
+		t.Fatalf("heartbeat = %d", code)
+	}
+	if after := listing(); !reflect.DeepEqual(before, after) {
+		t.Errorf("listing changed across an old-style heartbeat:\n before %v\n after  %v", before, after)
+	}
+	if before["read_addr"] != "http://127.0.0.1:7801" {
+		t.Errorf("read_addr = %v, want it kept as the scrape target", before["read_addr"])
 	}
 }

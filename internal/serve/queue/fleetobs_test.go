@@ -17,7 +17,7 @@ import (
 )
 
 // registerWorkerObs registers a worker the way cmd/precision-worker does
-// when observability is wired: a replica read address and an arch profile.
+// when observability is wired: a metrics read address and an arch profile.
 func (h *fleetHarness) registerWorkerObs(t *testing.T, name, readAddr string, spec *arch.Spec) *testWorker {
 	t.Helper()
 	w := &testWorker{t: t, base: h.srv.URL}

@@ -15,46 +15,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-GO=${GO:-go}
-
-work=$(mktemp -d)
-daemon_pid=""
-client_pid=""
-cleanup() {
-    [ -n "$client_pid" ] && kill "$client_pid" 2>/dev/null || true
-    [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null || true
-    wait 2>/dev/null || true
-    rm -rf "$work"
-}
-trap cleanup EXIT
-
-fail() { echo "FAIL: $*" >&2; exit 1; }
-
-fetch() { curl -sf "$1" 2>/dev/null || wget -qO- "$1"; }
-
-$GO build -o "$work/precisiond" ./cmd/precisiond
-$GO build -o "$work/precision-client" ./cmd/precision-client
-
-# start_daemon <logfile> <extra flags...>; sets $daemon_pid and $addr.
-start_daemon() {
-    local logf=$1; shift
-    "$work/precisiond" -addr 127.0.0.1:0 "$@" >"$logf" 2>&1 &
-    daemon_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^listening on //p' "$logf")
-        [ -n "$addr" ] && break
-        kill -0 "$daemon_pid" 2>/dev/null || { cat "$logf"; fail "daemon died on startup"; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$logf"; fail "daemon never announced its address"; }
-}
-
-# extract_pairs <json-lines-file>: sorted "spec_hash state_hash" per result.
-extract_pairs() {
-    sed -n 's/.*"spec_hash":"\([0-9a-f]*\)".*"state_hash":"\([0-9a-f]*\)".*/\1 \2/p' "$1" | sort
-}
-
+. scripts/lib.sh
 # ---------- Phase A: crash/restart bit-identity under injected faults ----
 
 echo "== phase A: reference sweep (no faults)"

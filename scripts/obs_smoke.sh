@@ -8,35 +8,10 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-GO=${GO:-go}
+. scripts/lib.sh
 
-work=$(mktemp -d)
-daemon_pid=""
-cleanup() {
-    [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true
-    [ -n "$daemon_pid" ] && wait "$daemon_pid" 2>/dev/null || true
-    rm -rf "$work"
-}
-trap cleanup EXIT
-
-fetch() { curl -sf "$1" 2>/dev/null || wget -qO- "$1"; }
-
-$GO build -o "$work/precisiond" ./cmd/precisiond
-$GO build -o "$work/precision-client" ./cmd/precision-client
-
-"$work/precisiond" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
-    -cache "$work/cache" -journal "$work/journal.ndjson" \
-    -log-level debug >"$work/daemon.log" 2>&1 &
-daemon_pid=$!
-
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$work/daemon.log")
-    [ -n "$addr" ] && break
-    kill -0 "$daemon_pid" 2>/dev/null || { cat "$work/daemon.log"; echo "FAIL: daemon died" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { cat "$work/daemon.log"; echo "FAIL: daemon never announced its address" >&2; exit 1; }
+start_daemon "$work/daemon.log" -debug-addr 127.0.0.1:0 \
+    -cache "$work/cache" -journal "$work/journal.ndjson" -log-level debug
 debug_addr=""
 for _ in $(seq 1 50); do
     debug_addr=$(sed -n 's/.*msg="debug server up (pprof + metrics)" addr=//p' "$work/daemon.log" | head -1)

@@ -1,138 +1,88 @@
 #!/usr/bin/env bash
-# Tiered read-path smoke test (DESIGN.md §11).
+# Tiered read-path smoke test (DESIGN.md §11): hot memory, ETag/304, disk.
 #
-# Run the quick paper sweep twice against a fleet-only coordinator with two
-# replica-serving workers, and assert the second pass never touches the
-# coordinator's disk:
-#   * the daemon runs with a deliberately tiny -hot-bytes so its hot tier
-#     admits nothing — the second pass's cache probes must be served by the
-#     fleet replica tier (hash -> worker read index, digest-verified),
-#   * the client replays with -replay-cache, so every second-pass result
-#     body is an If-None-Match revalidation: 100% 304s, zero bytes moved,
-#   * disk_hits and puts must not grow during the second pass (nothing was
-#     re-read from disk, nothing was recomputed), and
-#   * the second pass's payload bytes are bit-identical to the first's.
+# Phase A — default hot tier. Run the quick paper sweep, read every result
+# by hash, then replay the sweep with -replay-cache and assert the replay
+# lived above the disk:
+#   * every admission probe is a hot hit and every result body an
+#     If-None-Match revalidation: N/N 304s, zero bytes moved,
+#   * disk_hits and puts do not grow (nothing re-read, nothing recomputed),
+#   * the replayed payload bytes are identical to the cold pass's.
+#
+# Phase B — restart over the same cache directory with -hot-bytes 512, a
+# hot tier that admits nothing: every read by hash is served by the disk
+# tier, byte-identical to phase A's hot read, and nothing is recomputed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-GO=${GO:-go}
-
-work=$(mktemp -d)
-daemon_pid=""
-worker1_pid=""
-worker2_pid=""
-cleanup() {
-    [ -n "$worker1_pid" ] && kill -9 "$worker1_pid" 2>/dev/null || true
-    [ -n "$worker2_pid" ] && kill -9 "$worker2_pid" 2>/dev/null || true
-    [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null || true
-    wait 2>/dev/null || true
-    rm -rf "$work"
-}
-trap cleanup EXIT
-
-fail() { echo "FAIL: $*" >&2; exit 1; }
-
-fetch() { curl -sf "$1" 2>/dev/null || wget -qO- "$1"; }
-
-$GO build -o "$work/precisiond" ./cmd/precisiond
-$GO build -o "$work/precision-worker" ./cmd/precision-worker
-$GO build -o "$work/precision-client" ./cmd/precision-client
-
-start_daemon() {
-    local logf=$1; shift
-    "$work/precisiond" -addr 127.0.0.1:0 "$@" >"$logf" 2>&1 &
-    daemon_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^listening on //p' "$logf")
-        [ -n "$addr" ] && break
-        kill -0 "$daemon_pid" 2>/dev/null || { cat "$logf"; fail "daemon died on startup"; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$logf"; fail "daemon never announced its address"; }
-}
-
-start_worker() {
-    local logf=$1; shift
-    "$work/precision-worker" -coordinator "http://$addr" "$@" >"$logf" 2>&1 &
-    local pid=$!
-    for _ in $(seq 1 100); do
-        grep -q '^registered as ' "$logf" && break
-        kill -0 "$pid" 2>/dev/null || { cat "$logf"; fail "worker died on startup"; }
-        sleep 0.1
-    done
-    grep -q '^registered as ' "$logf" || { cat "$logf"; fail "worker never registered"; }
-    echo "$pid"
-}
+. scripts/lib.sh
 
 # cstat <key>: integer field from the current /v1/cache/stats snapshot.
 cstat() {
     fetch "http://$addr/v1/cache/stats" | grep -o "\"$1\":[0-9]*" | head -n1 | cut -d: -f2
 }
 
-# metric <name>: current value from /metrics (empty when absent).
-metric() {
-    fetch "http://$addr/metrics" | sed -n "s/^$1 //p" | head -n1
+# read_all <dir>: GET /v1/results/{hash} for every hash of the sweep.
+read_all() {
+    mkdir -p "$1"
+    for h in $hashes; do
+        fetch "http://$addr/v1/results/$h" >"$1/$h" || fail "read of $h failed"
+    done
 }
 
-echo "== fleet-only coordinator (tiny hot tier) + 2 replica-serving workers"
-start_daemon "$work/daemon.log" -workers 0 -cache "$work/cache" \
-    -hot-bytes 512 -lease-ttl 3s
-worker1_pid=$(start_worker "$work/worker1.log" -slots 2 -read-addr 127.0.0.1:0)
-worker2_pid=$(start_worker "$work/worker2.log" -slots 2 -read-addr 127.0.0.1:0)
+sweep() { # <outfile>
+    "$work/precision-client" -addr "http://$addr" -sweep quick -retry 10 -json \
+        -replay-cache "$work/replay" >"$1" 2>"$1.err" \
+        || { cat "$1.err"; fail "sweep into $1 failed"; }
+}
 
-echo "== pass 1: cold sweep (computes everything, workers pull replicas)"
-"$work/precision-client" -addr "http://$addr" -sweep quick -retry 10 -json \
-    -replay-cache "$work/replay" >"$work/pass1.json" 2>"$work/pass1.err" \
-    || { cat "$work/pass1.err"; fail "cold sweep failed"; }
+echo "== phase A: default hot tier; cold sweep"
+start_daemon "$work/daemon1.log" -cache "$work/cache"
+sweep "$work/pass1.json"
 total=$(grep -c . "$work/pass1.json")
 [ "$total" -ge 2 ] || fail "cold sweep produced only $total results"
+hashes=$(extract_pairs "$work/pass1.json" | cut -d' ' -f1)
+read_all "$work/hot"
+reads_hot=$(metric 'precisiond_result_reads_total{source="hot"}')
+[ "${reads_hot:-0}" -eq "$total" ] \
+    || fail "reads by hash after write-through: ${reads_hot:-0}/$total from the hot tier"
 
-# Before pass 2, wait for the fleet read index to cover the whole sweep:
-# workers report held hashes on heartbeats, so coverage lags completion by
-# a beat or two.
-covered=""
-for _ in $(seq 1 200); do
-    replicas=$(fetch "http://$addr/v1/workers" | grep -o '"replica_hashes":[0-9]*' | cut -d: -f2)
-    if [ -n "$replicas" ] && [ "$replicas" -ge "$total" ]; then covered=yes; break; fi
-    sleep 0.1
-done
-[ -n "$covered" ] || fail "replica index never covered the sweep (${replicas:-0}/$total hashes)"
-echo "   replica index covers $replicas/$total spec hashes"
+disk1=$(cstat disk_hits); puts1=$(cstat puts); hot1=$(cstat hot_hits)
 
-disk1=$(cstat disk_hits); puts1=$(cstat puts)
-hot1=$(cstat hot_hits); remote1=$(cstat remote_hits)
+echo "== phase A: warm replay (must not touch the disk)"
+sweep "$work/pass2.json"
 
-echo "== pass 2: warm replay (must not touch the coordinator's disk)"
-"$work/precision-client" -addr "http://$addr" -sweep quick -retry 10 -json \
-    -replay-cache "$work/replay" >"$work/pass2.json" 2>"$work/pass2.err" \
-    || { cat "$work/pass2.err"; fail "warm sweep failed"; }
-
-disk2=$(cstat disk_hits); puts2=$(cstat puts)
-hot2=$(cstat hot_hits); remote2=$(cstat remote_hits)
+disk2=$(cstat disk_hits); puts2=$(cstat puts); hot2=$(cstat hot_hits)
 
 # Bit-identity: the warm pass returned exactly the cold pass's bytes.
 cmp -s "$work/pass1.json" "$work/pass2.json" \
     || fail "warm-pass payloads differ from the cold pass"
 
-# Zero disk growth, zero recompute: the second pass lived entirely in the
-# hot/replica/304 tiers.
+# Zero disk growth, zero recompute: the replay lived in the hot and 304 tiers.
 [ "$disk2" -eq "$disk1" ] || fail "disk_hits grew on the warm pass: $disk1 -> $disk2"
 [ "$puts2" -eq "$puts1" ] || fail "results were recomputed on the warm pass: puts $puts1 -> $puts2"
-
-# Every warm-pass probe was served above the disk tier...
-served=$(( (hot2 - hot1) + (remote2 - remote1) ))
-[ "$served" -ge "$total" ] \
-    || fail "only $served/$total warm probes served from hot/replica tiers"
-# ...with the replica tier doing real work (the tiny hot tier admits nothing).
-[ "$((remote2 - remote1))" -ge 1 ] || fail "no replica reads on the warm pass"
+[ "$((hot2 - hot1))" -eq "$total" ] \
+    || fail "$((hot2 - hot1))/$total warm probes served from the hot tier"
 
 # And every result body was a revalidation: N/N 304s, zero bytes moved.
-grep -q "replay-cache: $total/$total results revalidated (304)" "$work/pass2.err" \
-    || { cat "$work/pass2.err"; fail "warm pass did not revalidate every result"; }
+grep -q "replay-cache: $total/$total results revalidated (304)" "$work/pass2.json.err" \
+    || { cat "$work/pass2.json.err"; fail "warm pass did not revalidate every result"; }
 etag304=$(metric 'precisiond_result_reads_total{source="etag_304"}')
 [ -n "$etag304" ] && [ "$etag304" -ge "$total" ] \
     || fail "etag_304 reads = ${etag304:-absent}, want >= $total"
-remote_metric=$(metric 'precisiond_cache_events_total{event="remote_hit"}')
+kill "$daemon_pid" && wait "$daemon_pid" 2>/dev/null || true
+daemon_pid=""
 
-echo "read-smoke OK ($total results; warm pass: $((remote2 - remote1)) replica reads, $((hot2 - hot1)) hot hits, $etag304 etag-304s, disk_hits delta 0, remote_hit metric ${remote_metric:-0})"
+echo "== phase B: restart over the same cache, hot tier admits nothing"
+start_daemon "$work/daemon2.log" -cache "$work/cache" -hot-bytes 512
+read_all "$work/disk"
+for h in $hashes; do
+    cmp -s "$work/hot/$h" "$work/disk/$h" || fail "disk read of $h differs from the hot read"
+done
+reads_disk=$(metric 'precisiond_result_reads_total{source="disk"}')
+[ "${reads_disk:-0}" -eq "$total" ] || fail "${reads_disk:-0}/$total reads served by the disk tier"
+[ "$(cstat disk_hits)" -eq "$total" ] || fail "disk_hits = $(cstat disk_hits), want $total"
+[ "$(cstat puts)" -eq 0 ] || fail "results were recomputed after the restart: puts $(cstat puts)"
+[ "$(cstat hot_entries)" -eq 0 ] || fail "the 512-byte hot tier admitted $(cstat hot_entries) payloads"
+
+echo "read-smoke OK ($total results; warm pass: $((hot2 - hot1)) hot hits, $etag304 etag-304s, disk_hits delta 0; after restart: $reads_disk disk reads, puts 0)"

@@ -23,68 +23,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-GO=${GO:-go}
-
-work=$(mktemp -d)
-daemon_pid=""
-worker1_pid=""
-worker2_pid=""
-worker3_pid=""
-client_pid=""
-cleanup() {
-    [ -n "$client_pid" ] && kill "$client_pid" 2>/dev/null || true
-    [ -n "$worker1_pid" ] && kill -9 "$worker1_pid" 2>/dev/null || true
-    [ -n "$worker2_pid" ] && kill -9 "$worker2_pid" 2>/dev/null || true
-    [ -n "$worker3_pid" ] && kill -9 "$worker3_pid" 2>/dev/null || true
-    [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null || true
-    wait 2>/dev/null || true
-    rm -rf "$work"
-}
-trap cleanup EXIT
-
-fail() { echo "FAIL: $*" >&2; exit 1; }
-
-fetch() { curl -sf "$1" 2>/dev/null || wget -qO- "$1"; }
-
-$GO build -o "$work/precisiond" ./cmd/precisiond
-$GO build -o "$work/precision-worker" ./cmd/precision-worker
-$GO build -o "$work/precision-client" ./cmd/precision-client
-
-# start_daemon <logfile> <extra flags...>; sets $daemon_pid and $addr.
-start_daemon() {
-    local logf=$1; shift
-    "$work/precisiond" -addr 127.0.0.1:0 "$@" >"$logf" 2>&1 &
-    daemon_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^listening on //p' "$logf")
-        [ -n "$addr" ] && break
-        kill -0 "$daemon_pid" 2>/dev/null || { cat "$logf"; fail "daemon died on startup"; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$logf"; fail "daemon never announced its address"; }
-}
-
-start_worker() {
-    local logf=$1; shift
-    "$work/precision-worker" -coordinator "http://$addr" "$@" >"$logf" 2>&1 &
-    local pid=$!
-    for _ in $(seq 1 100); do
-        grep -q '^registered as ' "$logf" && break
-        kill -0 "$pid" 2>/dev/null || { cat "$logf"; fail "worker died on startup"; }
-        sleep 0.1
-    done
-    grep -q '^registered as ' "$logf" || { cat "$logf"; fail "worker never registered"; }
-    echo "$pid"
-}
-
-worker_id() { sed -n 's/^registered as \(worker-[0-9]*\) .*/\1/p' "$1"; }
-
-# metric <name>: current value from /metrics (empty when absent).
-metric() {
-    fetch "http://$addr/metrics" | sed -n "s/^$1 //p" | head -n1
-}
-
+. scripts/lib.sh
 # worker_health <worker-id>: health state from GET /v1/workers. Each worker
 # object serializes id before health, so the first health after the id is
 # that worker's.

@@ -4,7 +4,7 @@
 GO ?= go
 
 # The smokes are not listed: make skips pattern rules for phony targets.
-.PHONY: build test vet verify race loc bench-par bench-step bench-json bench-gate
+.PHONY: build test vet verify race loc bench-par bench-step
 
 build:
 	$(GO) build ./...
@@ -26,12 +26,6 @@ loc:
 
 %-smoke:
 	GO="$(GO)" ./scripts/$*_smoke.sh
-
-bench-json:
-	GO="$(GO)" ./scripts/bench_json.sh
-
-bench-gate:
-	GO="$(GO)" ./scripts/bench_json.sh --check
 
 bench-par:
 	$(GO) test ./internal/par/ -run '^$$' -bench BenchmarkParDispatch -benchmem | tee results/par_pool_bench.txt

@@ -2,11 +2,10 @@ package repro
 
 // Ablations for the extension substrates: zfp-style checkpoint compression
 // (the storage trade the paper's §VI declines to model, citing [34]) and
-// mixed-precision iterative refinement (the prior-work technique of [4,6]).
+// fork-join worker scaling.
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -14,7 +13,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/mesh"
 	"repro/internal/precision"
-	"repro/internal/solvers"
 	"repro/internal/zfp"
 )
 
@@ -72,37 +70,6 @@ func BenchmarkAblationCompression(b *testing.B) {
 			b.ReportMetric(100*(1-compressed.Storage/plain.Storage), "storage-saving-%")
 		})
 	}
-}
-
-// BenchmarkAblationMixedIR contrasts double CG against mixed-precision
-// iterative refinement at matched accuracy, reporting the single-precision
-// flop share and the bandwidth-weighted cost saving.
-func BenchmarkAblationMixedIR(b *testing.B) {
-	m, err := solvers.Poisson2D(40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	rhs := make([]float64, m.N)
-	for i := range rhs {
-		rhs[i] = rng.Float64()*2 - 1
-	}
-	b.Run("cg-double", func(b *testing.B) {
-		var st solvers.Stats
-		for i := 0; i < b.N; i++ {
-			x := make([]float64, m.N)
-			st = solvers.CG(m, rhs, x, 1e-12, 20000)
-		}
-		b.ReportMetric(-math.Log10(st.RelResidual), "digits")
-	})
-	b.Run("ir-mixed", func(b *testing.B) {
-		var st solvers.Stats
-		for i := 0; i < b.N; i++ {
-			_, st = solvers.SolveIR(m, rhs, solvers.IROptions{Tol: 1e-12})
-		}
-		b.ReportMetric(-math.Log10(st.RelResidual), "digits")
-		b.ReportMetric(100*st.SingleFlopFraction(), "single-flop-%")
-	})
 }
 
 // BenchmarkAblationWorkers measures the parallel scaling of the two

@@ -25,6 +25,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,6 +35,9 @@ import (
 	"repro/internal/runner"
 	"repro/internal/serve/queue"
 )
+
+// probeTimeout bounds one demotion probe, primary plus shadow.
+const probeTimeout = 2 * time.Minute
 
 // VerifyFunc executes a concrete spec out-of-band (bypassing the queue and
 // the result cache) and reports the primary result plus whether a shadow
@@ -167,9 +172,6 @@ type Config struct {
 	// WarmRuns is the clean-result streak required before a probe
 	// (default 3); reverts double the requirement per entry.
 	WarmRuns int
-	// ProbeTimeout bounds one demotion probe, primary plus shadow
-	// (default 2m).
-	ProbeTimeout time.Duration
 	// Obs, when non-nil, registers the autotune instruments.
 	Obs *obs.Registry
 	// Log, when non-nil, receives autotune decisions.
@@ -199,9 +201,6 @@ type Tuner struct {
 func New(cfg Config) *Tuner {
 	if cfg.WarmRuns <= 0 {
 		cfg.WarmRuns = 3
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Minute
 	}
 	t := &Tuner{cfg: cfg, log: cfg.Log, entries: map[string]*entry{}}
 	if cfg.Obs != nil {
@@ -347,14 +346,10 @@ func (t *Tuner) ObserveResult(spec runner.ExperimentSpec, res *runner.Result) {
 			changed = true
 		}
 		e.Evidence[mode] = ev
-		if e.FullJoules > 0 && e.RefSteps > 0 && res.Energy != nil && res.Steps > 0 {
-			scale := float64(res.Steps) / float64(e.RefSteps)
-			if dj := e.FullJoules*scale - res.Energy.Joules; dj > 0 {
-				savedJ = dj
-				savedD = math.Max(0, e.FullDollars*scale-res.Energy.CostDollars)
-				e.savedJoules += savedJ
-				e.savedDollars += savedD
-			}
+		if j, d, ok := e.savings(res); ok && j > 0 {
+			savedJ, savedD = j, d
+			e.savedJoules += savedJ
+			e.savedDollars += savedD
 		}
 	}
 	e.streak++
@@ -426,7 +421,7 @@ func foldFidelityLocked(ev *evidence, e *entry, res *runner.Result) bool {
 // and commits or rejects the rung.
 func (t *Tuner) probe(key string, probeSpec runner.ExperimentSpec) {
 	defer t.probeWG.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), t.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	res, verified, err := t.cfg.Verify(ctx, probeSpec)
 	mode := probeSpec.Mode
@@ -538,19 +533,22 @@ func (t *Tuner) Savings(spec runner.ExperimentSpec, res *runner.Result) (joules,
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, exists := t.entries[key]
-	if !exists || e.FullJoules <= 0 || e.RefSteps <= 0 {
+	if !exists {
+		return 0, 0, false
+	}
+	return e.savings(res)
+}
+
+// savings prices res against the entry's full-precision baseline scaled to
+// its step count, each figure floored at zero. ok is false without a
+// baseline or a priced result.
+func (e *entry) savings(res *runner.Result) (joules, dollars float64, ok bool) {
+	if e.FullJoules <= 0 || e.RefSteps <= 0 || res.Energy == nil || res.Steps <= 0 {
 		return 0, 0, false
 	}
 	scale := float64(res.Steps) / float64(e.RefSteps)
-	joules = e.FullJoules*scale - res.Energy.Joules
-	dollars = e.FullDollars*scale - res.Energy.CostDollars
-	if joules < 0 {
-		joules = 0
-	}
-	if dollars < 0 {
-		dollars = 0
-	}
-	return joules, dollars, true
+	return math.Max(0, e.FullJoules*scale-res.Energy.Joules),
+		math.Max(0, e.FullDollars*scale-res.Energy.CostDollars), true
 }
 
 // journalEntry persists key's current state as a `tuned` WAL record.
@@ -615,7 +613,8 @@ func (t *Tuner) Recover(j *queue.Journal) error {
 // and shutdown hook.
 func (t *Tuner) Quiesce() { t.probeWG.Wait() }
 
-// EvidenceView is one mode's row in an entry view.
+// EvidenceView is one mode's row in an entry view: evidence, with verified
+// always present.
 type EvidenceView struct {
 	MassError *float64 `json:"mass_error,omitempty"`
 	Linf      *float64 `json:"linf,omitempty"`
@@ -663,19 +662,12 @@ func (t *Tuner) Snapshot() []EntryView {
 		if len(e.Evidence) > 0 {
 			v.Evidence = make(map[string]EvidenceView, len(e.Evidence))
 			for m, ev := range e.Evidence {
-				v.Evidence[m] = EvidenceView{
-					MassError: ev.MassError, Linf: ev.Linf,
-					Verified: ev.Verified, Joules: ev.Joules, Dollars: ev.Dollars,
-				}
+				v.Evidence[m] = EvidenceView(ev)
 			}
 		}
 		out = append(out, v)
 	}
 	t.mu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k-1].Key > out[k].Key; k-- {
-			out[k-1], out[k] = out[k], out[k-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b EntryView) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }

@@ -136,11 +136,12 @@ func (a *agg) mode(m string) *modeAcc {
 	return acc
 }
 
-// admit records one admitted index under its submitted mode.
-func (a *agg) admit(mode string) { a.mode(mode).jobs++ }
+// admit records one admitted index under its submitted mode. (The three
+// folds share the outcome table's signature; only complete reads a result.)
+func (a *agg) admit(mode string, _ *runner.Result) { a.mode(mode).jobs++ }
 
 // fail records a terminal failure under its submitted mode.
-func (a *agg) fail(mode string) { a.mode(mode).failed++ }
+func (a *agg) fail(mode string, _ *runner.Result) { a.mode(mode).failed++ }
 
 // complete folds one completed result in under its submitted mode.
 func (a *agg) complete(mode string, res *runner.Result) {

@@ -55,7 +55,8 @@ const (
 
 // Spec is the submitted description of a campaign.
 type Spec struct {
-	// Tenant scopes fairness quotas; empty normalizes to "default".
+	// Tenant names the campaign's owner in views and logs; empty normalizes
+	// to "default". Fairness between campaigns is Weight alone.
 	Tenant string `json:"tenant,omitempty"`
 	// Weight is the campaign's WFQ share (1..1000, default 1). A weight-10
 	// campaign is admitted ten jobs for every one of a weight-1 campaign.

@@ -223,11 +223,10 @@ func TestWFQRatio(t *testing.T) {
 	}
 }
 
-// BenchmarkCampaignExpand measures lazy expansion + content addressing —
-// the per-spec cost of walking a campaign cursor (the dedup key
-// derivation included, since every expanded spec is hashed before
-// admission).
-func BenchmarkCampaignExpand(b *testing.B) {
+// expandOp is lazy expansion + content addressing — the per-spec cost of
+// walking a campaign cursor (the dedup key derivation included, since every
+// expanded spec is hashed before admission) over a 3000-spec grid.
+func expandOp(tb testing.TB) func() {
 	steps := make([]any, 50)
 	for i := range steps {
 		steps[i] = 10 + i
@@ -246,16 +245,34 @@ func BenchmarkCampaignExpand(b *testing.B) {
 		},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		spec, err := g.At(int64(i) % g.Total())
+	var i int64
+	return func() {
+		spec, err := g.At(i % g.Total())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := spec.Hash(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		i++
+	}
+}
+
+func BenchmarkCampaignExpand(b *testing.B) {
+	expand := expandOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		expand()
+	}
+}
+
+// Expansion stays within 20% of the 6 allocs/spec it was committed at
+// (DESIGN.md §12): a million-job campaign pays this per index.
+func TestCampaignExpandAllocCeiling(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, expandOp(t)); n > 7 {
+		t.Errorf("expand + hash: %v allocs/spec, ceiling 7", n)
 	}
 }

@@ -1,3 +1,7 @@
+// The campaign manager: registration, the WFQ admission pump and the
+// read-side views. What a campaign event or an expanded index's outcome
+// does to the books is settle.go's two tables; DESIGN.md §12 is the
+// reference for the lifecycle.
 package campaign
 
 import (
@@ -10,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/serve/queue"
 )
 
@@ -37,8 +40,6 @@ type Config struct {
 	// campaigns (0 = 16). Deduped cache answers are born done and never
 	// hold a slot.
 	Slots int
-	// TenantSlots caps per-tenant in-flight jobs (0 = Slots).
-	TenantSlots int
 	// HealthyCapacity, when non-nil, reports the execution slots currently
 	// backed by non-quarantined capacity (local lanes + healthy fleet).
 	// Campaign admission sheds to min(Slots, max(1, HealthyCapacity())):
@@ -61,21 +62,18 @@ type Config struct {
 // Manager expands campaigns lazily and fairly. One pump goroutine owns
 // admission: it picks the next (campaign, index) by weighted fair
 // queueing, materializes exactly that spec, and submits it through the
-// scheduler; per-job watcher goroutines fold terminal results into the
-// campaign's aggregates and release admission slots.
+// scheduler; per-job watcher goroutines settle terminal results into the
+// campaign's aggregates, which releases their admission slots.
 type Manager struct {
-	cfg   Config
-	sched *queue.Scheduler
-	log   *obs.Logger
-	o     *mgrObs
+	cfg Config
+	log *obs.Logger
+	o   mgrObs
 
-	mu             sync.Mutex
-	camps          map[string]*Campaign
-	order          []string
-	nextID         uint64
-	fair           *wfq
-	inflight       int
-	tenantInflight map[string]int
+	mu     sync.Mutex
+	camps  map[string]*Campaign
+	order  []string
+	nextID uint64
+	fair   *wfq
 
 	kick   chan struct{}
 	runCtx context.Context
@@ -84,11 +82,11 @@ type Manager struct {
 
 // Campaign is one live or terminal campaign.
 type Campaign struct {
-	id  string
-	gen *Generator
+	id   string
+	gen  *Generator
+	spec Spec // normalized
 
 	mu     sync.Mutex
-	spec   Spec // normalized
 	status Status
 	errMsg string
 
@@ -100,26 +98,39 @@ type Campaign struct {
 	recoveredBelow int64
 	cursorHW       int64
 
-	expanded, admitted, running int64
-	completed, deduped, failed  int64
-	recovered                   int64
-	entries                     []entry
-	agg                         *agg
-	digest                      string
+	// tally counts the outcome rows settled for this campaign; deduped and
+	// recovered count the completed ones whose admission was flagged so.
+	tally              [numOutcomes]int64
+	deduped, recovered int64
+	refs               []JobRef // one per expanded index, in index order
+	agg                *agg
+	digest             string
 
 	done     chan struct{}
 	doneOnce sync.Once
 }
 
-// entry is the per-expanded-index record backing JobRef.
-type entry struct {
-	index              int64
-	jobID, specHash    string
-	mode               string
-	status             string
-	stateHash          string
-	deduped, recovered bool
-	errMsg             string
+// newCampaign validates spec and builds the campaign it describes, resuming
+// above a journaled cursor (0 for a fresh one).
+func newCampaign(id string, spec Spec, cursor int64) (*Campaign, error) {
+	spec, err := spec.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	gen, err := NewGenerator(spec.Generator)
+	if err != nil {
+		return nil, err
+	}
+	return &Campaign{
+		id:             id,
+		gen:            gen,
+		spec:           spec,
+		status:         StatusRunning,
+		recoveredBelow: cursor,
+		cursorHW:       cursor,
+		agg:            newAgg(),
+		done:           make(chan struct{}),
+	}, nil
 }
 
 // New builds a Manager. Call Recover (optionally) then Start.
@@ -130,27 +141,22 @@ func New(cfg Config) *Manager {
 	if cfg.Slots <= 0 {
 		cfg.Slots = 16
 	}
-	if cfg.TenantSlots <= 0 {
-		cfg.TenantSlots = cfg.Slots
-	}
 	if cfg.CursorEvery <= 0 {
 		cfg.CursorEvery = 32
 	}
 	m := &Manager{
-		cfg:            cfg,
-		sched:          cfg.Sched,
-		log:            cfg.Log.With(obs.Str("sub", "campaign")),
-		camps:          make(map[string]*Campaign),
-		fair:           newWFQ(),
-		tenantInflight: make(map[string]int),
-		kick:           make(chan struct{}, 1),
-		nextID:         1,
+		cfg:    cfg,
+		log:    cfg.Log.With(obs.Str("sub", "campaign")),
+		camps:  make(map[string]*Campaign),
+		fair:   newWFQ(),
+		kick:   make(chan struct{}, 1),
+		nextID: 1,
 	}
 	if cfg.Journal != nil {
 		m.nextID = cfg.Journal.NextCampaignNum()
 	}
 	if cfg.Obs != nil {
-		m.o = newMgrObs(cfg.Obs)
+		m.o = newMgrObs(cfg.Obs, m.load)
 	}
 	return m
 }
@@ -168,45 +174,27 @@ func (m *Manager) Recover() (int, error) {
 	resumed := 0
 	for _, pc := range m.cfg.Journal.PendingCampaigns() {
 		var spec Spec
+		var c *Campaign
 		err := json.Unmarshal(pc.Spec, &spec)
 		if err == nil {
-			spec, err = spec.Normalized()
-		}
-		var gen *Generator
-		if err == nil {
-			gen, err = NewGenerator(spec.Generator)
+			c, err = newCampaign(pc.ID, spec, pc.Cursor)
 		}
 		if err != nil {
 			// A journaled campaign that no longer validates (e.g. written
 			// by a newer build) is failed rather than wedged forever.
-			m.log.Warn("recovered campaign invalid", obs.Str("campaign", pc.ID), obs.Str("err", err.Error()))
-			if jerr := m.cfg.Journal.CampaignFailed(pc.ID, "recovery: "+err.Error()); jerr != nil {
+			jerr := m.emit(ceRecoveryInvalid, nil, detail{id: pc.ID, err: "recovery: " + err.Error(),
+				attrs: []obs.Attr{obs.Str("err", err.Error())}})
+			if jerr != nil {
 				return resumed, jerr
 			}
 			continue
 		}
-		c := &Campaign{
-			id:             pc.ID,
-			gen:            gen,
-			spec:           spec,
-			status:         StatusRunning,
-			recoveredBelow: pc.Cursor,
-			cursorHW:       pc.Cursor,
-			agg:            newAgg(),
-			done:           make(chan struct{}),
-		}
-		m.mu.Lock()
-		m.camps[c.id] = c
-		m.order = append(m.order, c.id)
-		m.mu.Unlock()
-		m.o.campaignEvent("recovered")
-		m.log.Info("campaign recovered",
-			obs.Str("campaign", c.id), obs.Str("tenant", spec.Tenant),
+		_ = m.emit(ceRecovered, c, detail{attrs: []obs.Attr{
+			obs.Str("tenant", c.spec.Tenant),
 			obs.Str("cursor", strconv.FormatInt(pc.Cursor, 10)),
-			obs.Str("total", strconv.FormatInt(gen.Total(), 10)))
+			obs.Str("total", strconv.FormatInt(c.gen.Total(), 10))}})
 		resumed++
 	}
-	m.o.setActive(m.activeCount())
 	return resumed, nil
 }
 
@@ -223,79 +211,42 @@ func (m *Manager) Start(ctx context.Context) {
 // the scheduler's own shutdown has resolved outstanding jobs.
 func (m *Manager) Wait() { m.wg.Wait() }
 
+// stopping reports whether the manager's run context has ended.
+func (m *Manager) stopping() bool { return m.runCtx != nil && m.runCtx.Err() != nil }
+
 // Submit validates, journals and registers a new campaign. The campaign
 // is expanded asynchronously; the returned Campaign is live immediately.
 func (m *Manager) Submit(spec Spec) (*Campaign, error) {
-	spec, err := spec.Normalized()
-	if err != nil {
-		m.o.campaignEvent("rejected")
-		return nil, err
-	}
-	gen, err := NewGenerator(spec.Generator)
-	if err != nil {
-		m.o.campaignEvent("rejected")
-		return nil, err
-	}
-
-	m.mu.Lock()
-	if gen.Total()+m.liveRemainderLocked() > m.cfg.Budget {
+	c, err := newCampaign("", spec, 0)
+	var num uint64
+	if err == nil {
+		m.mu.Lock()
+		if total := c.gen.Total(); total+m.loadLocked().owed > m.cfg.Budget {
+			err = fmt.Errorf("%w: estimated %d jobs over budget %d", ErrBudget, total, m.cfg.Budget)
+		} else {
+			// The number is taken under this lock hold, before the journal
+			// append drops it: concurrent submissions never share an ID. A
+			// failed append leaves a gap, which recovery tolerates.
+			num = m.nextID
+			m.nextID++
+		}
 		m.mu.Unlock()
-		m.o.campaignEvent("rejected")
-		return nil, fmt.Errorf("%w: estimated %d jobs over budget %d", ErrBudget, gen.Total(), m.cfg.Budget)
 	}
-	id := fmt.Sprintf("camp-%06d", m.nextID)
-	next := m.nextID + 1
-	m.mu.Unlock()
-
-	if m.cfg.Journal != nil {
-		// Journal-then-ack, mirroring job admission: the campaign record
-		// must be durable before the ID is visible.
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.cfg.Journal.CampaignSubmitted(id, raw, next); err != nil {
-			return nil, fmt.Errorf("campaign: journal admission: %w", err)
-		}
+	if err != nil {
+		_ = m.emit(ceRejected, nil, detail{})
+		return nil, err
 	}
-
-	c := &Campaign{
-		id:     id,
-		gen:    gen,
-		spec:   spec,
-		status: StatusRunning,
-		agg:    newAgg(),
-		done:   make(chan struct{}),
+	c.id = fmt.Sprintf("camp-%06d", num)
+	// Journal-then-ack, mirroring job admission: the campaign record must
+	// be durable before the ID is visible.
+	err = m.emit(ceSubmitted, c, detail{nextNum: num + 1, attrs: []obs.Attr{
+		obs.Str("tenant", c.spec.Tenant),
+		obs.Str("kind", c.gen.Kind()),
+		obs.Str("total", strconv.FormatInt(c.gen.Total(), 10))}})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: journal admission: %w", err)
 	}
-	m.mu.Lock()
-	m.nextID = next
-	m.camps[id] = c
-	m.order = append(m.order, id)
-	m.mu.Unlock()
-	m.o.campaignEvent("submitted")
-	m.o.setActive(m.activeCount())
-	m.log.Info("campaign submitted",
-		obs.Str("campaign", id), obs.Str("tenant", spec.Tenant),
-		obs.Str("kind", gen.Kind()),
-		obs.Str("total", strconv.FormatInt(gen.Total(), 10)))
-	m.kickPump()
 	return c, nil
-}
-
-// liveRemainderLocked sums the unfinished estimate of every live
-// campaign; caller holds m.mu.
-func (m *Manager) liveRemainderLocked() int64 {
-	var sum int64
-	for _, c := range m.camps {
-		c.mu.Lock()
-		if c.status == StatusRunning {
-			if rem := c.gen.Total() - (c.completed + c.failed); rem > 0 {
-				sum += rem
-			}
-		}
-		c.mu.Unlock()
-	}
-	return sum
 }
 
 // Get returns a campaign by ID.
@@ -309,46 +260,24 @@ func (m *Manager) Get(id string) (*Campaign, bool) {
 // List snapshots every campaign in submission order.
 func (m *Manager) List() []View {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	out := make([]View, 0, len(ids))
-	for _, id := range ids {
-		if c, ok := m.Get(id); ok {
-			out = append(out, c.View(false))
-		}
+	defer m.mu.Unlock()
+	out := make([]View, 0, len(m.order))
+	for _, id := range m.order {
+		out = append(out, m.camps[id].View(false))
 	}
 	return out
 }
 
 // Cancel stops a campaign's expansion. Jobs already admitted run to
 // completion under the scheduler; the campaign's journal record is
-// closed so it will not be resumed.
+// closed so it will not be resumed. A campaign already terminal stays as
+// it ended.
 func (m *Manager) Cancel(id string) (View, error) {
 	c, ok := m.Get(id)
 	if !ok {
 		return View{}, ErrNotFound
 	}
-	c.mu.Lock()
-	if c.status != StatusRunning {
-		c.mu.Unlock()
-		return c.View(false), nil
-	}
-	c.status = StatusCancelled
-	c.errMsg = "cancelled"
-	c.mu.Unlock()
-	if m.cfg.Journal != nil {
-		if err := m.cfg.Journal.CampaignFailed(id, "cancelled"); err != nil {
-			m.log.Warn("journal cancel", obs.Str("campaign", id), obs.Str("err", err.Error()))
-		}
-	}
-	m.mu.Lock()
-	m.fair.forget(id)
-	m.mu.Unlock()
-	m.o.campaignEvent("cancelled")
-	m.o.setActive(m.activeCount())
-	c.signalDone()
-	m.kickPump()
-	m.log.Info("campaign cancelled", obs.Str("campaign", id))
+	_ = m.emit(ceCancelled, c, detail{err: "cancelled"})
 	return c.View(false), nil
 }
 
@@ -359,18 +288,35 @@ func (m *Manager) kickPump() {
 	}
 }
 
-func (m *Manager) activeCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
+// load is the manager's instantaneous load, computed when asked: the three
+// campaign gauges export it and the budget check reads it.
+type load struct {
+	active   int64 // campaigns expanding or draining
+	inflight int64 // campaign jobs admitted and not yet terminal: slots in use
+	backlog  int64 // unexpanded indices across live campaigns
+	owed     int64 // indices of live campaigns not yet terminal: the budget in use
+}
+
+// loadLocked walks the campaigns; caller holds m.mu.
+func (m *Manager) loadLocked() load {
+	var l load
 	for _, c := range m.camps {
 		c.mu.Lock()
+		l.inflight += c.runningLocked()
 		if c.status == StatusRunning {
-			n++
+			l.active++
+			l.backlog += c.gen.Total() - c.next
+			l.owed += c.gen.Total() - c.tally[ioCompleted] - c.failedLocked()
 		}
 		c.mu.Unlock()
 	}
-	return n
+	return l
+}
+
+func (m *Manager) load() load {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.loadLocked()
 }
 
 // pump is the single admission loop: WFQ pick, lazy expansion of exactly
@@ -395,50 +341,35 @@ func (m *Manager) pump(ctx context.Context) {
 	}
 }
 
-// pickCampaign returns the WFQ choice among campaigns that are running,
-// not fully expanded, and within the global and per-tenant slot quotas.
+// pickCampaign returns the WFQ choice among campaigns that are running
+// and not fully expanded, or nil while every admission slot is in use.
 func (m *Manager) pickCampaign() *Campaign {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	slots := m.cfg.Slots
 	if m.cfg.HealthyCapacity != nil {
-		if hc := m.cfg.HealthyCapacity(); hc < slots {
-			if hc < 1 {
-				hc = 1
-			}
-			slots = hc
-		}
-	}
-	if m.inflight >= slots {
-		return nil
+		slots = min(slots, max(1, m.cfg.HealthyCapacity()))
 	}
 	var ids []string
-	weights := make(map[string]float64)
-	var backlog int64
+	var inflight int64
 	for _, id := range m.order {
 		c := m.camps[id]
 		c.mu.Lock()
-		eligible := c.status == StatusRunning && c.next < c.gen.Total()
-		if eligible {
-			backlog += c.gen.Total() - c.next
+		inflight += c.runningLocked()
+		if c.status == StatusRunning && c.next < c.gen.Total() {
+			ids = append(ids, id)
 		}
-		tenant, w := c.spec.Tenant, float64(c.spec.Weight)
 		c.mu.Unlock()
-		if !eligible || m.tenantInflight[tenant] >= m.cfg.TenantSlots {
-			continue
-		}
-		ids = append(ids, id)
-		weights[id] = w
 	}
-	m.o.setBacklog(backlog)
-	pick := m.fair.pick(ids, func(id string) float64 { return weights[id] })
-	if pick == "" {
+	if inflight >= int64(slots) {
 		return nil
 	}
-	return m.camps[pick]
+	// pick is "" — no campaign — when none is eligible.
+	return m.camps[m.fair.pick(ids, func(id string) float64 { return float64(m.camps[id].spec.Weight) })]
 }
 
-// admitNext expands campaign index c.next and submits it.
+// admitNext expands campaign index c.next, submits it and settles the
+// admission row it lands on.
 func (m *Manager) admitNext(ctx context.Context, c *Campaign) {
 	c.mu.Lock()
 	if c.status != StatusRunning || c.next >= c.gen.Total() {
@@ -447,253 +378,53 @@ func (m *Manager) admitNext(ctx context.Context, c *Campaign) {
 	}
 	idx := c.next
 	c.next++
-	c.expanded++
 	recovered := idx < c.recoveredBelow
-	tenant := c.spec.Tenant
 	c.mu.Unlock()
 
 	spec, err := c.gen.At(idx)
-	if err != nil {
-		// An index whose decoded values don't fit the spec fields is a
-		// terminal per-index failure, not a campaign failure.
-		c.mu.Lock()
-		c.entries = append(c.entries, entry{index: idx, status: "invalid", errMsg: err.Error()})
-		c.failed++
-		c.mu.Unlock()
-		m.o.jobOutcome("invalid")
-		m.journalCursor(c)
-		m.maybeFinalize(c)
-		return
-	}
-
 	var job *queue.Job
-	for {
-		job, err = m.sched.SubmitOpts(spec, queue.SubmitOptions{Flow: "campaign/" + c.id})
-		if err == nil {
-			break
-		}
-		if errors.Is(err, queue.ErrQueueFull) {
+	if err == nil {
+		opts := queue.SubmitOptions{Flow: "campaign/" + c.id}
+		job, err = m.cfg.Sched.SubmitOpts(spec, opts)
+		for errors.Is(err, queue.ErrQueueFull) {
 			// Throttled, never dropped: hold this index until the queue
 			// drains below the bulk-admission limit.
-			if !sleepCtx(ctx, 50*time.Millisecond) {
+			select {
+			case <-time.After(50 * time.Millisecond):
+			case <-ctx.Done():
 				// Shutdown mid-backoff: rewind so the index is not lost to
 				// this incarnation's counters (the journal cursor already
 				// trails it, so the next incarnation re-expands it anyway).
 				c.mu.Lock()
-				if c.next == idx+1 {
-					c.next--
-					c.expanded--
-				}
+				c.next = idx
 				c.mu.Unlock()
 				return
 			}
-			continue
+			job, err = m.cfg.Sched.SubmitOpts(spec, opts)
 		}
-		c.mu.Lock()
-		c.entries = append(c.entries, entry{index: idx, status: "invalid", errMsg: err.Error()})
-		c.failed++
-		c.mu.Unlock()
-		m.o.jobOutcome("invalid")
-		m.journalCursor(c)
-		m.maybeFinalize(c)
+	}
+	if err != nil {
+		m.settle(c, ioInvalid, JobRef{Index: idx, Error: err.Error()}, nil, nil)
 		return
 	}
 
 	snap := job.Snapshot()
-	e := entry{
-		index:     idx,
-		jobID:     job.ID,
-		specHash:  job.SpecHash,
-		mode:      snap.Spec.Mode,
-		status:    string(snap.Status),
-		deduped:   snap.Cached,
-		recovered: recovered,
-	}
-
-	terminal := false
-	select {
-	case <-job.Done():
-		terminal = true
-	default:
-	}
-
-	c.mu.Lock()
-	c.admitted++
-	c.agg.admit(e.mode)
-	eIdx := len(c.entries)
-	c.entries = append(c.entries, e)
-	if !terminal {
-		c.running++
-	}
-	c.mu.Unlock()
-
+	out := ioAdmitted
 	switch {
 	case recovered:
-		m.o.jobOutcome("recovered")
+		out = ioRecovered
 	case snap.Cached:
-		m.o.jobOutcome("deduped")
-	default:
-		m.o.jobOutcome("admitted")
+		out = ioDeduped
 	}
-
-	if terminal {
-		// Cache answers are born done: fold the cached result into the
-		// aggregates right away — a deduped job still reports.
-		m.finishEntry(c, eIdx, job, false)
-	} else {
-		m.mu.Lock()
-		m.inflight++
-		m.tenantInflight[tenant]++
-		m.o.setInflight(int64(m.inflight))
-		m.mu.Unlock()
-		m.wg.Add(1)
-		go m.watch(c, eIdx, job, tenant)
-	}
-	m.journalCursor(c)
-}
-
-// journalCursor persists the expansion cursor when it has advanced by
-// CursorEvery since the last write (or the campaign is fully expanded).
-// Written after the admissions it covers, so a crash can only re-admit —
-// and re-admissions dedup.
-func (m *Manager) journalCursor(c *Campaign) {
-	if m.cfg.Journal == nil {
-		return
-	}
-	c.mu.Lock()
-	cur := c.next
-	write := c.status == StatusRunning &&
-		cur > c.cursorHW &&
-		(cur-c.cursorHW >= int64(m.cfg.CursorEvery) || cur == c.gen.Total())
-	if write {
-		c.cursorHW = cur
-	}
-	c.mu.Unlock()
-	if !write {
-		return
-	}
-	if err := m.cfg.Journal.CampaignCursor(c.id, cur); err != nil {
-		m.log.Warn("journal cursor", obs.Str("campaign", c.id), obs.Str("err", err.Error()))
-	}
-}
-
-// watch waits for one admitted job's terminal state.
-func (m *Manager) watch(c *Campaign, eIdx int, job *queue.Job, tenant string) {
-	defer m.wg.Done()
-	<-job.Done()
-	m.finishEntry(c, eIdx, job, true)
-	m.mu.Lock()
-	m.inflight--
-	m.tenantInflight[tenant]--
-	if m.tenantInflight[tenant] <= 0 {
-		delete(m.tenantInflight, tenant)
-	}
-	m.o.setInflight(int64(m.inflight))
-	m.mu.Unlock()
-	m.kickPump()
-}
-
-// finishEntry folds one terminal job into the campaign.
-func (m *Manager) finishEntry(c *Campaign, eIdx int, job *queue.Job, fromWatch bool) {
-	payload, ok := job.Result()
-	var res runner.Result
-	if ok {
-		if err := json.Unmarshal(payload, &res); err != nil {
-			ok = false
-		}
-	}
-	snap := job.Snapshot()
-
-	shuttingDown := m.runCtx != nil && m.runCtx.Err() != nil
-
-	c.mu.Lock()
-	e := &c.entries[eIdx]
-	if fromWatch {
-		c.running--
-	}
-	if ok {
-		e.status = string(queue.StatusDone)
-		e.stateHash = res.StateHash
-		c.completed++
-		if e.deduped {
-			c.deduped++
-		}
-		if e.recovered {
-			c.recovered++
-		}
-		c.agg.complete(e.mode, &res)
-	} else if shuttingDown {
-		// Scheduler shutdown fails queued jobs; don't count those against
-		// the campaign — the next incarnation re-runs them.
-		e.status = string(queue.StatusQueued)
-	} else {
-		e.status = string(queue.StatusFailed)
-		e.errMsg = snap.Error
-		c.failed++
-		c.agg.fail(e.mode)
-	}
-	c.mu.Unlock()
-
-	if ok {
-		m.o.jobOutcome("completed")
-	} else if !shuttingDown {
-		m.o.jobOutcome("failed")
-	}
-	m.maybeFinalize(c)
-}
-
-// maybeFinalize completes the campaign once fully expanded and drained.
-// During shutdown it leaves the campaign live so the journal's pending
-// record carries it into the next incarnation.
-func (m *Manager) maybeFinalize(c *Campaign) {
-	if m.runCtx != nil && m.runCtx.Err() != nil {
-		return
-	}
-	c.mu.Lock()
-	if c.status != StatusRunning || c.next < c.gen.Total() || c.running > 0 ||
-		c.completed+c.failed < c.gen.Total() {
-		c.mu.Unlock()
-		return
-	}
-	pairs := make([]string, 0, len(c.entries))
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.status == string(queue.StatusDone) && e.stateHash != "" {
-			pairs = append(pairs, e.specHash+" "+e.stateHash)
-		}
-	}
-	c.digest = ResultDigest(pairs)
-	c.status = StatusCompleted
-	completed, failed := c.completed, c.failed
-	c.mu.Unlock()
-
-	if m.cfg.Journal != nil {
-		if err := m.cfg.Journal.CampaignDone(c.id); err != nil {
-			m.log.Warn("journal done", obs.Str("campaign", c.id), obs.Str("err", err.Error()))
-		}
-	}
-	m.mu.Lock()
-	m.fair.forget(c.id)
-	m.mu.Unlock()
-	m.o.campaignEvent("completed")
-	m.o.setActive(m.activeCount())
-	c.signalDone()
-	m.log.Info("campaign completed",
-		obs.Str("campaign", c.id),
-		obs.Str("completed", strconv.FormatInt(completed, 10)),
-		obs.Str("failed", strconv.FormatInt(failed, 10)))
-}
-
-// sleepCtx sleeps for d, returning false if ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	m.settle(c, out, JobRef{
+		Index:     idx,
+		JobID:     job.ID,
+		SpecHash:  job.SpecHash,
+		Mode:      snap.Spec.Mode,
+		Status:    string(snap.Status),
+		Deduped:   snap.Cached,
+		Recovered: recovered,
+	}, job, nil)
 }
 
 // ID returns the campaign's stable identity ("camp-000001").
@@ -704,28 +435,32 @@ func (c *Campaign) Done() <-chan struct{} { return c.done }
 
 func (c *Campaign) signalDone() { c.doneOnce.Do(func() { close(c.done) }) }
 
-// Aggregates snapshots the campaign's running aggregates.
-func (c *Campaign) Aggregates() Aggregates {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.aggregatesLocked()
+// runningLocked is the campaign's jobs in flight: every admission row took
+// a slot, every terminal row gave one back.
+func (c *Campaign) runningLocked() int64 {
+	var n int64
+	for out := range outcomeRows {
+		n += int64(outcomeRows[out].slot) * c.tally[out]
+	}
+	return n
 }
 
-func (c *Campaign) aggregatesLocked() Aggregates {
-	out := Aggregates{
-		Total:     c.gen.Total(),
-		Expanded:  c.expanded,
-		Admitted:  c.admitted,
-		Running:   c.running,
-		Completed: c.completed,
-		Deduped:   c.deduped,
-		Recovered: c.recovered,
-		Failed:    c.failed,
+// failedLocked counts the indices that ended without a result.
+func (c *Campaign) failedLocked() int64 { return c.tally[ioInvalid] + c.tally[ioFailed] }
+
+// digestLocked hashes the completed jobs' "spec_hash state_hash" pairs.
+func (c *Campaign) digestLocked() string {
+	pairs := make([]string, 0, len(c.refs))
+	for i := range c.refs {
+		if r := &c.refs[i]; r.Status == string(queue.StatusDone) && r.StateHash != "" {
+			pairs = append(pairs, r.SpecHash+" "+r.StateHash)
+		}
 	}
-	c.agg.stats(&out)
-	out.ResultDigest = c.digest
-	return out
+	return ResultDigest(pairs)
 }
+
+// Aggregates snapshots the campaign's running aggregates.
+func (c *Campaign) Aggregates() Aggregates { return c.View(false).Aggregates }
 
 // View snapshots the campaign; includeJobs adds one JobRef per expanded
 // index, in expansion order.
@@ -733,30 +468,27 @@ func (c *Campaign) View(includeJobs bool) View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v := View{
-		ID:         c.id,
-		Tenant:     c.spec.Tenant,
-		Weight:     c.spec.Weight,
-		Status:     c.status,
-		Error:      c.errMsg,
-		Spec:       c.spec,
-		Aggregates: c.aggregatesLocked(),
+		ID:     c.id,
+		Tenant: c.spec.Tenant,
+		Weight: c.spec.Weight,
+		Status: c.status,
+		Error:  c.errMsg,
+		Spec:   c.spec,
+		Aggregates: Aggregates{
+			Total:        c.gen.Total(),
+			Expanded:     c.next,
+			Admitted:     c.tally[ioAdmitted] + c.tally[ioDeduped] + c.tally[ioRecovered],
+			Running:      c.runningLocked(),
+			Completed:    c.tally[ioCompleted],
+			Deduped:      c.deduped,
+			Recovered:    c.recovered,
+			Failed:       c.failedLocked(),
+			ResultDigest: c.digest,
+		},
 	}
+	c.agg.stats(&v.Aggregates)
 	if includeJobs {
-		v.Jobs = make([]JobRef, len(c.entries))
-		for i := range c.entries {
-			e := &c.entries[i]
-			v.Jobs[i] = JobRef{
-				Index:     e.index,
-				JobID:     e.jobID,
-				SpecHash:  e.specHash,
-				Mode:      e.mode,
-				Status:    e.status,
-				StateHash: e.stateHash,
-				Deduped:   e.deduped,
-				Recovered: e.recovered,
-				Error:     e.errMsg,
-			}
-		}
+		v.Jobs = append([]JobRef{}, c.refs...)
 	}
 	return v
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/serve/cache"
 	"repro/internal/serve/queue"
@@ -100,7 +101,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestWFQFairnessAcrossTenants(t *testing.T) {
 	rec := newRecordRun(0)
 	sched := queue.New(queue.Config{Workers: 1, QueueDepth: 128, Run: rec.fn})
-	m := New(Config{Sched: sched, Slots: 2})
+	m := New(Config{Sched: sched, Slots: 2, Obs: obs.NewRegistry()})
 
 	// Register both campaigns before the pump starts so neither gets a
 	// head start the fairness assertion would have to absorb.
@@ -143,6 +144,7 @@ func TestWFQFairnessAcrossTenants(t *testing.T) {
 	if av.Aggregates.Completed != 30 || bv.Aggregates.Completed != 30 {
 		t.Errorf("completed = %d/%d, want 30/30", av.Aggregates.Completed, bv.Aggregates.Completed)
 	}
+	checkBooks(t, m)
 }
 
 // A campaign killed mid-expansion (no terminal journal record, in-flight
@@ -163,7 +165,7 @@ func TestJournalReplayResumesHalfExpandedCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched1 := queue.New(queue.Config{Workers: 2, QueueDepth: 64, Cache: c1, Journal: j1, Run: rec.fn})
-	m1 := New(Config{Sched: sched1, Journal: j1, Slots: 2, CursorEvery: 4})
+	m1 := New(Config{Sched: sched1, Journal: j1, Slots: 2, CursorEvery: 4, Obs: obs.NewRegistry()})
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	sched1.Start(ctx1)
 	m1.Start(ctx1)
@@ -187,6 +189,7 @@ func TestJournalReplayResumesHalfExpandedCampaign(t *testing.T) {
 	if got := camp.Aggregates().Completed; got >= 12 {
 		t.Fatalf("first incarnation completed %d jobs; wanted a half-drained campaign", got)
 	}
+	checkBooks(t, m1) // shutdown gave every slot back
 
 	close(rec.gate) // second incarnation runs unthrottled
 	j2, err := queue.OpenJournal(jpath)
@@ -202,7 +205,7 @@ func TestJournalReplayResumesHalfExpandedCampaign(t *testing.T) {
 	if _, _, err := sched2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(Config{Sched: sched2, Journal: j2, Slots: 2, CursorEvery: 4})
+	m2 := New(Config{Sched: sched2, Journal: j2, Slots: 2, CursorEvery: 4, Obs: obs.NewRegistry()})
 	resumed, err := m2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +261,7 @@ func TestJournalReplayResumesHalfExpandedCampaign(t *testing.T) {
 	if v.Aggregates.ResultDigest == "" {
 		t.Error("terminal aggregates missing result_digest")
 	}
+	checkBooks(t, m2)
 }
 
 // A warm re-submit of a completed campaign is answered entirely from the
@@ -269,7 +273,7 @@ func TestWarmResubmitDedupsAndStillAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := queue.New(queue.Config{Workers: 2, QueueDepth: 64, Cache: c, Run: rec.fn})
-	m := New(Config{Sched: sched, Slots: 4})
+	m := New(Config{Sched: sched, Slots: 4, Obs: obs.NewRegistry()})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() { cancel(); sched.Wait(); m.Wait() }()
 	sched.Start(ctx)
@@ -303,13 +307,14 @@ func TestWarmResubmitDedupsAndStillAggregates(t *testing.T) {
 	if executions != 8 {
 		t.Errorf("%d executions across cold+warm, want 8", executions)
 	}
+	checkBooks(t, m)
 }
 
 // Over-budget submissions are rejected with ErrBudget (the API's 429).
 func TestBudgetRejection(t *testing.T) {
 	rec := newRecordRun(1) // first job completes, the rest hold slots
 	sched := queue.New(queue.Config{Workers: 1, QueueDepth: 64, Run: rec.fn})
-	m := New(Config{Sched: sched, Budget: 10, Slots: 1})
+	m := New(Config{Sched: sched, Budget: 10, Slots: 1, Obs: obs.NewRegistry()})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() { cancel(); sched.Wait(); m.Wait() }()
 	sched.Start(ctx)
@@ -327,6 +332,7 @@ func TestBudgetRejection(t *testing.T) {
 	}
 	close(rec.gate)
 	waitCampaign(t, live)
+	checkBooks(t, m)
 	// Budget frees as live campaigns drain.
 	if _, err := m.Submit(stepsGrid("t", 1, 6001, 8)); err != nil {
 		t.Fatalf("post-drain submission rejected: %v", err)
@@ -385,7 +391,7 @@ func TestAggregatesMatchDirectRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := queue.New(queue.Config{Workers: 2, QueueDepth: 16, Cache: c})
-	m := New(Config{Sched: sched, Slots: 2})
+	m := New(Config{Sched: sched, Slots: 2, Obs: obs.NewRegistry()})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() { cancel(); sched.Wait(); m.Wait() }()
 	sched.Start(ctx)
@@ -423,6 +429,7 @@ func TestAggregatesMatchDirectRuns(t *testing.T) {
 			t.Errorf("per_mode[%s] = %+v, want jobs=1 completed=1", mode, ms)
 		}
 	}
+	checkBooks(t, m)
 }
 
 // Cancelling a live campaign stops expansion; already-admitted jobs
@@ -430,7 +437,7 @@ func TestAggregatesMatchDirectRuns(t *testing.T) {
 func TestCancelStopsExpansion(t *testing.T) {
 	rec := newRecordRun(1)
 	sched := queue.New(queue.Config{Workers: 1, QueueDepth: 64, Run: rec.fn})
-	m := New(Config{Sched: sched, Slots: 1})
+	m := New(Config{Sched: sched, Slots: 1, Obs: obs.NewRegistry()})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() { cancel(); sched.Wait(); m.Wait() }()
 	sched.Start(ctx)
@@ -461,4 +468,5 @@ func TestCancelStopsExpansion(t *testing.T) {
 	if _, err := m.Cancel("camp-999999"); err == nil {
 		t.Error("cancel of unknown campaign succeeded")
 	}
+	checkBooks(t, m)
 }

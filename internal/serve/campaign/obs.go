@@ -2,66 +2,41 @@ package campaign
 
 import "repro/internal/obs"
 
-// mgrObs is the manager's pre-resolved instrument set. A nil *mgrObs (no
-// registry configured) disables everything through the nil-receiver
-// guards, mirroring the scheduler's schedObs.
+// mgrObs is the manager's pre-resolved instrument set: one counter child
+// per table row, resolved here and nowhere else. The zero value (no
+// registry configured) is a set of no-op handles.
 type mgrObs struct {
-	campaigns obs.CounterVec // label: event
-	jobs      obs.CounterVec // label: outcome
-
-	active, inflight, backlog obs.Gauge
+	events   [numCampEvents]obs.Counter // precisiond_campaigns_total{event}
+	outcomes [numOutcomes]obs.Counter   // precisiond_campaign_jobs_total{outcome}
 }
 
-func newMgrObs(r *obs.Registry) *mgrObs {
-	return &mgrObs{
-		campaigns: r.CounterVec("precisiond_campaigns_total",
-			"Campaign lifecycle traffic by event.", "event"),
-		jobs: r.CounterVec("precisiond_campaign_jobs_total",
-			"Campaign job expansion traffic by outcome (deduped = answered from cache before admission).", "outcome"),
-		active: r.Gauge("precisiond_campaigns_active",
-			"Campaigns currently expanding or draining."),
-		inflight: r.Gauge("precisiond_campaign_inflight",
-			"Campaign jobs admitted and not yet terminal (slot usage)."),
-		backlog: r.Gauge("precisiond_campaign_backlog",
-			"Unexpanded indices across live campaigns."),
+// newMgrObs resolves the row counters and registers the three campaign
+// gauges as scrape-time views of snapshot: nothing stores them, so they
+// cannot drift from the books they describe.
+func newMgrObs(r *obs.Registry, snapshot func() load) mgrObs {
+	campaigns := r.CounterVec("precisiond_campaigns_total",
+		"Campaign lifecycle traffic by event.", "event")
+	jobs := r.CounterVec("precisiond_campaign_jobs_total",
+		"Campaign job expansion traffic by outcome (deduped = answered from cache before admission).", "outcome")
+	var o mgrObs
+	for ev, row := range campRows {
+		if row.event != "" {
+			o.events[ev] = campaigns.With(row.event)
+		}
 	}
-}
-
-// campaignEvent counts one campaign lifecycle event:
-// submitted | completed | cancelled | rejected | recovered.
-func (o *mgrObs) campaignEvent(event string) {
-	if o == nil {
-		return
+	for out, row := range outcomeRows {
+		if row.outcome != "" {
+			o.outcomes[out] = jobs.With(row.outcome)
+		}
 	}
-	o.campaigns.With(event).Inc()
-}
-
-// jobOutcome counts one expanded index's outcome:
-// admitted | deduped | recovered | completed | failed | invalid.
-func (o *mgrObs) jobOutcome(outcome string) {
-	if o == nil {
-		return
-	}
-	o.jobs.With(outcome).Inc()
-}
-
-func (o *mgrObs) setActive(n int64) {
-	if o == nil {
-		return
-	}
-	o.active.Set(n)
-}
-
-func (o *mgrObs) setInflight(n int64) {
-	if o == nil {
-		return
-	}
-	o.inflight.Set(n)
-}
-
-func (o *mgrObs) setBacklog(n int64) {
-	if o == nil {
-		return
-	}
-	o.backlog.Set(n)
+	r.Collect(func(emit func(obs.Sample)) {
+		gauge := func(name, help string, v int64) {
+			emit(obs.Sample{Name: name, Help: help, Type: "gauge", Value: float64(v)})
+		}
+		l := snapshot()
+		gauge("precisiond_campaigns_active", "Campaigns currently expanding or draining.", l.active)
+		gauge("precisiond_campaign_inflight", "Campaign jobs admitted and not yet terminal (slot usage).", l.inflight)
+		gauge("precisiond_campaign_backlog", "Unexpanded indices across live campaigns.", l.backlog)
+	})
+	return o
 }

@@ -9,9 +9,7 @@ import "math"
 // interval in which two flows stay backlogged, their admission counts
 // converge to the ratio of their weights — a weight-10 tenant drains ten
 // jobs for each job of a weight-1 tenant, and neither can starve the
-// other. A flow held ineligible (slot caps) keeps its frozen finish time
-// and catches up when readmitted, bounded by the service it missed.
-// Callers hold the manager lock.
+// other. Callers hold the manager lock.
 type wfq struct {
 	vnow  float64
 	flows map[string]*wfqFlow

@@ -4,7 +4,7 @@
 GO ?= go
 
 # The smokes are not listed: make skips pattern rules for phony targets.
-.PHONY: build test vet verify race loc bench-par bench-step
+.PHONY: build test vet bench-check verify race loc bench-par bench-step
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-verify: build vet test
+# bench/ is its own module, outside ./...: a renamed internal/ symbol it
+# imports passes build/vet/test above and breaks only the benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+verify: build vet test bench-check
 
 race:
 	$(GO) test -race ./internal/par/... ./internal/clamr/... ./internal/self/... ./internal/serve/... ./internal/runner/... ./cmd/precision-worker/...

@@ -72,17 +72,19 @@ func BenchmarkAblationCompression(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWorkers measures the parallel scaling of the two
-// mini-apps' kernels (fork-join over fixed chunks; bit-identical results).
-// The gomaxprocs metric records the host parallelism: on a single-core
-// machine extra workers can only add synchronisation overhead — the
-// feature's guarantee is determinism, the speedup needs cores.
+// BenchmarkAblationWorkers measures the parallel scaling of CLAMR's
+// cell-centric kernel, the finite-difference sweep Workers chunks (fork-join
+// over fixed chunks; bit-identical results; the face kernel is serial by
+// construction). SELF's scaling is BenchmarkSELFStep in internal/self. The
+// gomaxprocs metric records the host parallelism: on a single-core machine
+// extra workers can only add synchronisation overhead — the feature's
+// guarantee is determinism, the speedup needs cores.
 func BenchmarkAblationWorkers(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	for _, workers := range []int{1, 4} {
 		name := map[int]string{1: "clamr-w1", 4: "clamr-w4"}[workers]
 		b.Run(name, func(b *testing.B) {
-			cfg := clamr.Config{NX: 128, NY: 128, Kernel: clamr.KernelFace, Workers: workers}
+			cfg := clamr.Config{NX: 128, NY: 128, Kernel: clamr.KernelCell, Workers: workers}
 			r, err := clamr.New(precision.Full, cfg, clamr.DamBreak(mesh.UnitBounds, 10, 2, 0.15, 0.05))
 			if err != nil {
 				b.Fatal(err)

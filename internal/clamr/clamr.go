@@ -17,8 +17,8 @@
 // kernel are provided (the paper's Table III vectorization study): a
 // cell-centric scalar kernel that gathers neighbors per cell and computes
 // each face flux twice (the "unvectorized" profile), and a face-centric
-// kernel over precomputed SoA face lists with unrolled inner loops and
-// single flux evaluation (the "vectorized" profile).
+// kernel over precomputed SoA face lists that evaluates each flux once (the
+// "vectorized" profile).
 package clamr
 
 import (
@@ -77,11 +77,13 @@ type Config struct {
 	// InitialAdaptPasses refines the initial condition this many times so
 	// the starting mesh resolves the dam wall (default MaxLevel).
 	InitialAdaptPasses int
-	// Workers runs the finite-difference, update and timestep passes
-	// fork-join parallel over this many chunks (≤1 = serial), dispatched
-	// on the shared persistent par pool. The parallel sweeps are
-	// bit-identical to the serial ones at any worker count (disjoint
-	// writes; exact min-reduction; fixed scatter order).
+	// Workers runs the chunk-safe passes — the CFL scan, the cell-centric
+	// sweep and its update, AMR flagging — fork-join parallel over this
+	// many chunks (≤1 = serial; 0 is normalised to 1), dispatched on the
+	// shared persistent par pool. They are bit-identical to the serial
+	// passes at any worker count (disjoint writes; exact min-reduction).
+	// The face-centric sweep is always serial: its face order is part of
+	// the result.
 	Workers int
 	// DryTol is the dry-cell height floor: cells with h ≤ DryTol are
 	// treated as dry in the CFL scan, and flux velocity divisions clamp
@@ -111,6 +113,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.InitialAdaptPasses == 0 {
 		c.InitialAdaptPasses = c.MaxLevel
+	}
+	if c.Workers < 1 {
+		c.Workers = 1
 	}
 }
 
@@ -169,9 +174,6 @@ type Solver[S, C precision.Real] struct {
 	dtRed     *par.Reducer[float64]
 	curDT     C
 	dry       C // dry-cell height floor at compute precision
-	parZero   func(lo, hi int)
-	parFluxX  func(lo, hi int)
-	parFluxY  func(lo, hi int)
 	parUpdate func(lo, hi int)
 	parCell   func(lo, hi int)
 	parFlag   func(lo, hi int)
@@ -238,7 +240,7 @@ func (s *Solver[S, C]) initRuntime() {
 	case s.cfg.DryTol < 0:
 		s.dry = 0
 	default:
-		if unsafeSizeofS[C]() == 4 {
+		if precision.Sizeof[C]() == 4 {
 			s.dry = C(1e-6)
 		} else {
 			s.dry = C(1e-12)
@@ -276,10 +278,8 @@ func (s *Solver[S, C]) rebuildWorkspace() {
 	s.dhv = growSlice(s.dhv, n)
 	s.faces.rebuild(s.mesh)
 
-	var sv S
-	var cv C
-	sBytes := uint64(unsafeSizeof(sv))
-	cBytes := uint64(unsafeSizeof(cv))
+	sBytes := uint64(precision.Sizeof[S]())
+	cBytes := uint64(precision.Sizeof[C]())
 	for _, label := range []string{"state", "rhs", "mesh", "faces"} {
 		s.alloc.Release(label, ^uint64(0))
 	}
@@ -287,7 +287,7 @@ func (s *Solver[S, C]) rebuildWorkspace() {
 	s.alloc.Register("rhs", 3*uint64(n)*sBytes)
 	s.alloc.Register("mesh", uint64(n)*uint64(9+8)) // cells + hash entry estimate
 	nFaces := uint64(len(s.faces.xl) + len(s.faces.yb) + len(s.faces.bCell))
-	s.alloc.Register("faces", nFaces*(2*4+uint64(cBytes))+uint64(n)*uint64(cBytes))
+	s.alloc.Register("faces", nFaces*(2*4+cBytes)+uint64(n)*cBytes)
 }
 
 // growSlice returns a slice of length n, reusing xs's backing array when
@@ -297,18 +297,6 @@ func growSlice[T any](xs []T, n int) []T {
 		return make([]T, n)
 	}
 	return xs[:n]
-}
-
-// unsafeSizeof avoids importing unsafe for the two cases we need.
-func unsafeSizeof(v any) int {
-	switch v.(type) {
-	case float32:
-		return 4
-	case float64:
-		return 8
-	default:
-		return 8
-	}
 }
 
 // Mesh exposes the underlying AMR mesh.
@@ -377,7 +365,7 @@ func (s *Solver[S, C]) MassError() float64 {
 // above healthy drift at each width, so a legitimate reduced-precision run
 // never trips them while a diverging one does within a guard interval.
 func (s *Solver[S, C]) massTol() float64 {
-	if unsafeSizeofS[S]() == 4 {
+	if precision.Sizeof[S]() == 4 {
 		return 1e-2
 	}
 	return 1e-6
@@ -462,116 +450,95 @@ func (s *Solver[S, C]) computeDT() float64 {
 	start := time.Now()
 	n := s.mesh.NumCells()
 	minRatio := s.dtRed.Reduce(s.cfg.Workers, n, s.dtProduce, math.Min, math.Inf(1))
-	s.counters.Add(metrics.Counters{LoadBytes: uint64(n) * 3 * uint64(unsafeSizeofS[S]())})
-	s.addFlops(uint64(n)*8, 0)
-	s.addTranscendental(uint64(n))
+	s.counters.LoadBytes += uint64(n) * 3 * uint64(precision.Sizeof[S]())
+	s.counters.AddFlops(precision.Sizeof[C](), uint64(n)*8)
+	s.counters.AddTranscendental(precision.Sizeof[C](), uint64(n))
 	s.phDT.Observe(start)
 	return s.cfg.Courant * minRatio
 }
 
-// bindKernels creates the parallel kernel closures once; they capture only
-// the solver, reading per-dispatch parameters (curDT, the current face
-// list, the flag buffer) through it, so repeated dispatch allocates
-// nothing.
+// bindKernels binds the range kernels as method values once, so repeated
+// dispatch on the pool allocates nothing. The kernels read per-dispatch
+// parameters (curDT, the current face list, the flag buffer) through the
+// solver.
 func (s *Solver[S, C]) bindKernels() {
-	s.parZero = func(lo, hi int) {
-		clear(s.dh[lo:hi])
-		clear(s.dhu[lo:hi])
-		clear(s.dhv[lo:hi])
+	s.parUpdate = s.update
+	s.parCell = s.cellSweep
+	s.dtProduce = s.cflRatio
+	s.parFlag = s.flagCells
+}
+
+// update advances cells [lo, hi) by curDT times their accumulated RHS.
+func (s *Solver[S, C]) update(lo, hi int) {
+	dt := s.curDT
+	fl := &s.faces
+	for i := lo; i < hi; i++ {
+		coef := dt * fl.invArea[i]
+		s.h[i] = S(C(s.h[i]) + coef*C(s.dh[i]))
+		s.hu[i] = S(C(s.hu[i]) + coef*C(s.dhu[i]))
+		s.hv[i] = S(C(s.hv[i]) + coef*C(s.dhv[i]))
 	}
-	s.parFluxX = func(lo, hi int) {
-		g := C(s.cfg.Gravity)
-		fl := &s.faces
-		for k := lo; k < hi; k++ {
-			l, r := fl.xl[k], fl.xr[k]
-			fl.fxh[k], fl.fxhu[k], fl.fxhv[k] = rusanovX(g, s.dry,
-				C(s.h[l]), C(s.hu[l]), C(s.hv[l]), C(s.h[r]), C(s.hu[r]), C(s.hv[r]))
+}
+
+// cellSweep accumulates the cell-centric RHS of cells [lo, hi).
+func (s *Solver[S, C]) cellSweep(lo, hi int) {
+	g := C(s.cfg.Gravity)
+	m := s.mesh
+	for i := lo; i < hi; i++ {
+		s.cellRHS(m, g, i)
+	}
+}
+
+// cflRatio returns the smallest cell-size / wave-speed ratio over the wet
+// cells of [lo, hi), at compute precision.
+func (s *Solver[S, C]) cflRatio(lo, hi int) float64 {
+	g := C(s.cfg.Gravity)
+	m := math.Inf(1)
+	for i := lo; i < hi; i++ {
+		h := C(s.h[i])
+		if h <= s.dry {
+			continue
+		}
+		u := C(s.hu[i]) / h
+		v := C(s.hv[i]) / h
+		c := C(math.Sqrt(float64(g * h)))
+		dx, dy := s.mesh.CellSize(s.mesh.Cell(i).Level)
+		rx := dx / float64(precision.Abs(u)+c)
+		ry := dy / float64(precision.Abs(v)+c)
+		if rx < m {
+			m = rx
+		}
+		if ry < m {
+			m = ry
 		}
 	}
-	s.parFluxY = func(lo, hi int) {
-		g := C(s.cfg.Gravity)
-		fl := &s.faces
-		for k := lo; k < hi; k++ {
-			b, tp := fl.yb[k], fl.yt[k]
-			fl.fyh[k], fl.fyhu[k], fl.fyhv[k] = rusanovY(g, s.dry,
-				C(s.h[b]), C(s.hu[b]), C(s.hv[b]), C(s.h[tp]), C(s.hu[tp]), C(s.hv[tp]))
-		}
-	}
-	s.parUpdate = func(lo, hi int) {
-		dt := s.curDT
-		fl := &s.faces
-		for i := lo; i < hi; i++ {
-			coef := dt * fl.invArea[i]
-			s.h[i] = S(C(s.h[i]) + coef*C(s.dh[i]))
-			s.hu[i] = S(C(s.hu[i]) + coef*C(s.dhu[i]))
-			s.hv[i] = S(C(s.hv[i]) + coef*C(s.dhv[i]))
-		}
-	}
-	s.parCell = func(lo, hi int) {
-		g := C(s.cfg.Gravity)
-		m := s.mesh
-		for i := lo; i < hi; i++ {
-			s.cellRHS(m, g, i)
-		}
-	}
-	s.dtProduce = func(lo, hi int) float64 {
-		g := C(s.cfg.Gravity)
-		m := math.Inf(1)
-		for i := lo; i < hi; i++ {
-			h := C(s.h[i])
-			if h <= s.dry {
-				continue
-			}
-			u := C(s.hu[i]) / h
-			v := C(s.hv[i]) / h
-			c := C(math.Sqrt(float64(g * h)))
-			dx, dy := s.mesh.CellSize(s.mesh.Cell(i).Level)
-			rx := dx / float64(absC(u)+c)
-			ry := dy / float64(absC(v)+c)
-			if rx < m {
-				m = rx
-			}
-			if ry < m {
-				m = ry
-			}
-		}
-		return m
-	}
-	s.parFlag = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hi0 := float64(s.h[i])
-			maxJump := 0.0
-			nb := s.mesh.Neighbors(i)
-			for side := mesh.Left; side <= mesh.Top; side++ {
-				for _, nIdx := range nb.On(side) {
-					if d := math.Abs(float64(s.h[nIdx]) - hi0); d > maxJump {
-						maxJump = d
-					}
+	return m
+}
+
+// flagCells marks cells [lo, hi) for refinement or coarsening on their
+// largest relative height jump to a neighbor.
+func (s *Solver[S, C]) flagCells(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		hi0 := float64(s.h[i])
+		maxJump := 0.0
+		nb := s.mesh.Neighbors(i)
+		for side := mesh.Left; side <= mesh.Top; side++ {
+			for _, nIdx := range nb.On(side) {
+				if d := math.Abs(float64(s.h[nIdx]) - hi0); d > maxJump {
+					maxJump = d
 				}
 			}
-			rel := maxJump / math.Max(hi0, 1e-12)
-			var f mesh.RefineFlag
-			switch {
-			case rel > s.cfg.RefineTol:
-				f = mesh.Refine
-			case rel < s.cfg.CoarsenTol:
-				f = mesh.Coarsen
-			}
-			s.flags[i] = f
 		}
+		rel := maxJump / math.Max(hi0, 1e-12)
+		var f mesh.RefineFlag
+		switch {
+		case rel > s.cfg.RefineTol:
+			f = mesh.Refine
+		case rel < s.cfg.CoarsenTol:
+			f = mesh.Coarsen
+		}
+		s.flags[i] = f
 	}
-}
-
-func absC[C precision.Real](x C) C {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func unsafeSizeofS[S precision.Real]() int {
-	var v S
-	return unsafeSizeof(v)
 }
 
 // modeLabel maps the storage/compute widths back to the precision-mode
@@ -579,47 +546,12 @@ func unsafeSizeofS[S precision.Real]() int {
 // (f32, f32) solver; clamr.New relabels it.
 func modeLabel[S, C precision.Real]() string {
 	switch {
-	case unsafeSizeofS[S]() == 8:
+	case precision.Sizeof[S]() == 8:
 		return "full"
-	case unsafeSizeofS[C]() == 8:
+	case precision.Sizeof[C]() == 8:
 		return "mixed"
 	default:
 		return "min"
-	}
-}
-
-// addFlops accounts flops at the compute width plus extra at storage width.
-func (s *Solver[S, C]) addFlops(compute, storage uint64) {
-	var cv C
-	if unsafeSizeof(cv) == 8 {
-		s.counters.Flops64 += compute
-	} else {
-		s.counters.Flops32 += compute
-	}
-	var sv S
-	if unsafeSizeof(sv) == 8 {
-		s.counters.Flops64 += storage
-	} else {
-		s.counters.Flops32 += storage
-	}
-}
-
-func (s *Solver[S, C]) addTranscendental(n uint64) {
-	var cv C
-	if unsafeSizeof(cv) == 8 {
-		s.counters.Transcendental64 += n
-	} else {
-		s.counters.Transcendental32 += n
-	}
-}
-
-// addConversions accounts S↔C conversions when the widths differ (the
-// mixed-precision promotion traffic).
-func (s *Solver[S, C]) addConversions(n uint64) {
-	var sv S
-	var cv C
-	if unsafeSizeof(sv) != unsafeSizeof(cv) {
-		s.counters.Conversions += n
 	}
 }
 

@@ -2,10 +2,12 @@ package clamr
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/metrics"
 	"repro/internal/precision"
 )
 
@@ -464,5 +466,38 @@ func TestBlowUpDetected(t *testing.T) {
 	err = r.Run(200)
 	if err == nil {
 		t.Fatal("unstable run completed without error")
+	}
+}
+
+// TestZeroWorkersMeansSerial pins the Config.Workers contract: the zero
+// value is normalised to 1 at construction, so a zero-value Config takes the
+// serial path and reports exactly what Workers: 1 reports.
+func TestZeroWorkersMeansSerial(t *testing.T) {
+	type outcome struct {
+		workers    int
+		counters   metrics.Counters
+		stateBytes uint64
+		stateHash  [sha256.Size]byte
+	}
+	for _, kernel := range []Kernel{KernelCell, KernelFace} {
+		run := func(workers int) outcome {
+			cfg := testConfig(kernel, 1)
+			cfg.Workers = workers
+			s, err := NewSolver[float32, float64](cfg, testIC(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(20); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := s.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return outcome{s.cfg.Workers, s.Counters(), s.StateBytes(), sha256.Sum256(buf.Bytes())}
+		}
+		if zero, one := run(0), run(1); zero != one {
+			t.Errorf("%v: zero-value Workers ran as\n %+v\nWorkers: 1 as\n %+v", kernel, zero, one)
+		}
 	}
 }

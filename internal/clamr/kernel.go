@@ -25,24 +25,6 @@ type faceList[C precision.Real] struct {
 	bLen  []C
 	// Per-cell inverse area at compute precision.
 	invArea []C
-	// Per-face flux staging for the parallel two-phase sweep (lazily
-	// allocated): fluxes are computed in parallel, then scattered in the
-	// fixed serial face order, so the parallel kernel is bit-identical to
-	// the serial one.
-	fxh, fxhu, fxhv []C
-	fyh, fyhu, fyhv []C
-}
-
-// ensureFluxStaging sizes the per-face flux arrays, reusing their backing
-// arrays whenever capacity suffices (grow-only, like the rest of the
-// workspace).
-func (fl *faceList[C]) ensureFluxStaging() {
-	fl.fxh = growSlice(fl.fxh, len(fl.xl))
-	fl.fxhu = growSlice(fl.fxhu, len(fl.xl))
-	fl.fxhv = growSlice(fl.fxhv, len(fl.xl))
-	fl.fyh = growSlice(fl.fyh, len(fl.yb))
-	fl.fyhu = growSlice(fl.fyhu, len(fl.yb))
-	fl.fyhv = growSlice(fl.fyhv, len(fl.yb))
 }
 
 // rebuild re-enumerates every face of the mesh exactly once, appending into
@@ -107,7 +89,6 @@ func (fl *faceList[C]) rebuild(m *mesh.Mesh) {
 			}
 		}
 	}
-	fl.ensureFluxStaging()
 }
 
 // rusanovX computes the x-direction Rusanov numerical flux between left and
@@ -130,8 +111,8 @@ func rusanovX[C precision.Real](g, dry, hL, huL, hvL, hR, huR, hvR C) (fh, fhu, 
 	vR := hvR / dR
 	cL := C(math.Sqrt(float64(g * hL)))
 	cR := C(math.Sqrt(float64(g * hR)))
-	s := absC(uL) + cL
-	if sr := absC(uR) + cR; sr > s {
+	s := precision.Abs(uL) + cL
+	if sr := precision.Abs(uR) + cR; sr > s {
 		s = sr
 	}
 	half := C(0.5)
@@ -158,8 +139,8 @@ func rusanovY[C precision.Real](g, dry, hB, huB, hvB, hT, huT, hvT C) (fh, fhu, 
 	vT := hvT / dT
 	cB := C(math.Sqrt(float64(g * hB)))
 	cT := C(math.Sqrt(float64(g * hT)))
-	s := absC(vB) + cB
-	if st := absC(vT) + cT; st > s {
+	s := precision.Abs(vB) + cB
+	if st := precision.Abs(vT) + cT; st > s {
 		s = st
 	}
 	half := C(0.5)
@@ -183,7 +164,7 @@ func wallFluxX[C precision.Real](g, dry, h, hu, n C) (fhu C) {
 	}
 	u := hu / d
 	c := C(math.Sqrt(float64(g * h)))
-	s := absC(u) + c
+	s := precision.Abs(u) + c
 	return hu*u + C(0.5)*g*h*h + n*s*hu
 }
 
@@ -196,7 +177,7 @@ func wallFluxY[C precision.Real](g, dry, h, hv, n C) (fhv C) {
 	}
 	v := hv / d
 	c := C(math.Sqrt(float64(g * h)))
-	s := absC(v) + c
+	s := precision.Abs(v) + c
 	return hv*v + C(0.5)*g*h*h + n*s*hv
 }
 
@@ -211,127 +192,25 @@ const (
 )
 
 // finiteDiffFace is the "vectorized" finite-difference sweep: face-centric,
-// SoA gathers, one flux evaluation per face, unrolled by 4. This is the
-// profile the paper obtains by adding SIMD pragmas to CLAMR's finite_diff
-// loop.
+// SoA gathers, one flux evaluation per interior face, scattered to the two
+// cells the face separates. This is the profile the paper obtains by adding
+// SIMD pragmas to CLAMR's finite_diff loop.
+//
+// The sweep is serial at every Workers value. A cell's RHS is a sum of
+// rounded face contributions, so the order faces are visited in is part of
+// the result; these loops are the one place that order is defined.
 func (s *Solver[S, C]) finiteDiffFace(dt C) {
-	if s.cfg.Workers > 1 {
-		s.finiteDiffFaceParallel(dt)
-		return
-	}
 	g := C(s.cfg.Gravity)
 	dry := s.dry
 	fl := &s.faces
-	n := s.mesh.NumCells()
-	for i := 0; i < n; i++ {
-		s.dh[i], s.dhu[i], s.dhv[i] = 0, 0, 0
-	}
+	clear(s.dh)
+	clear(s.dhu)
+	clear(s.dhv)
 
-	// Interior x-faces, unrolled by 4 with bounds hints.
-	xi := 0
-	for ; xi+4 <= len(fl.xl); xi += 4 {
-		for k := xi; k < xi+4; k++ {
-			l, r := fl.xl[k], fl.xr[k]
-			fh, fhu, fhv := rusanovX(g, dry, C(s.h[l]), C(s.hu[l]), C(s.hv[l]), C(s.h[r]), C(s.hu[r]), C(s.hv[r]))
-			w := fl.xlen[k]
-			s.dh[l] -= S(fh * w)
-			s.dhu[l] -= S(fhu * w)
-			s.dhv[l] -= S(fhv * w)
-			s.dh[r] += S(fh * w)
-			s.dhu[r] += S(fhu * w)
-			s.dhv[r] += S(fhv * w)
-		}
-	}
-	for ; xi < len(fl.xl); xi++ {
-		l, r := fl.xl[xi], fl.xr[xi]
-		fh, fhu, fhv := rusanovX(g, dry, C(s.h[l]), C(s.hu[l]), C(s.hv[l]), C(s.h[r]), C(s.hu[r]), C(s.hv[r]))
-		w := fl.xlen[xi]
-		s.dh[l] -= S(fh * w)
-		s.dhu[l] -= S(fhu * w)
-		s.dhv[l] -= S(fhv * w)
-		s.dh[r] += S(fh * w)
-		s.dhu[r] += S(fhu * w)
-		s.dhv[r] += S(fhv * w)
-	}
-
-	// Interior y-faces.
-	yi := 0
-	for ; yi+4 <= len(fl.yb); yi += 4 {
-		for k := yi; k < yi+4; k++ {
-			b, tp := fl.yb[k], fl.yt[k]
-			fh, fhu, fhv := rusanovY(g, dry, C(s.h[b]), C(s.hu[b]), C(s.hv[b]), C(s.h[tp]), C(s.hu[tp]), C(s.hv[tp]))
-			w := fl.ylen[k]
-			s.dh[b] -= S(fh * w)
-			s.dhu[b] -= S(fhu * w)
-			s.dhv[b] -= S(fhv * w)
-			s.dh[tp] += S(fh * w)
-			s.dhu[tp] += S(fhu * w)
-			s.dhv[tp] += S(fhv * w)
-		}
-	}
-	for ; yi < len(fl.yb); yi++ {
-		b, tp := fl.yb[yi], fl.yt[yi]
-		fh, fhu, fhv := rusanovY(g, dry, C(s.h[b]), C(s.hu[b]), C(s.hv[b]), C(s.h[tp]), C(s.hu[tp]), C(s.hv[tp]))
-		w := fl.ylen[yi]
-		s.dh[b] -= S(fh * w)
-		s.dhu[b] -= S(fhu * w)
-		s.dhv[b] -= S(fhv * w)
-		s.dh[tp] += S(fh * w)
-		s.dhu[tp] += S(fhu * w)
-		s.dhv[tp] += S(fhv * w)
-	}
-
-	// Boundary faces.
-	for k := range fl.bCell {
-		i := fl.bCell[k]
-		w := fl.bLen[k]
-		switch fl.bSide[k] {
-		case mesh.Left:
-			s.dhu[i] += S(wallFluxX(g, dry, C(s.h[i]), C(s.hu[i]), -1) * w)
-		case mesh.Right:
-			s.dhu[i] -= S(wallFluxX(g, dry, C(s.h[i]), C(s.hu[i]), 1) * w)
-		case mesh.Bottom:
-			s.dhv[i] += S(wallFluxY(g, dry, C(s.h[i]), C(s.hv[i]), -1) * w)
-		case mesh.Top:
-			s.dhv[i] -= S(wallFluxY(g, dry, C(s.h[i]), C(s.hv[i]), 1) * w)
-		}
-	}
-
-	// Update pass.
-	for i := 0; i < n; i++ {
-		coef := dt * fl.invArea[i]
-		s.h[i] = S(C(s.h[i]) + coef*C(s.dh[i]))
-		s.hu[i] = S(C(s.hu[i]) + coef*C(s.dhu[i]))
-		s.hv[i] = S(C(s.hv[i]) + coef*C(s.dhv[i]))
-	}
-
-	s.accountSweep(uint64(len(fl.xl)+len(fl.yb)), uint64(len(fl.bCell)), uint64(n), 1)
-}
-
-// finiteDiffFaceParallel is the two-phase parallel variant of the
-// face-centric sweep: phase one evaluates every face flux in parallel into
-// the staging arrays (disjoint writes), phase two scatters them serially in
-// the fixed face order. Because the flux values and the accumulation order
-// match the serial kernel exactly, the result is bit-identical. All parallel
-// phases dispatch prebound kernels on the persistent pool, so the sweep
-// allocates nothing at steady state.
-func (s *Solver[S, C]) finiteDiffFaceParallel(dt C) {
-	g := C(s.cfg.Gravity)
-	dry := s.dry
-	fl := &s.faces
-	workers := s.cfg.Workers
-	n := s.mesh.NumCells()
-	s.curDT = dt
-
-	s.pool.ForN(workers, n, s.parZero)
-	s.pool.ForN(workers, len(fl.xl), s.parFluxX)
-	s.pool.ForN(workers, len(fl.yb), s.parFluxY)
-
-	// Serial scatter in face order (matches the serial kernel's order).
 	for k := range fl.xl {
 		l, r := fl.xl[k], fl.xr[k]
+		fh, fhu, fhv := rusanovX(g, dry, C(s.h[l]), C(s.hu[l]), C(s.hv[l]), C(s.h[r]), C(s.hu[r]), C(s.hv[r]))
 		w := fl.xlen[k]
-		fh, fhu, fhv := fl.fxh[k], fl.fxhu[k], fl.fxhv[k]
 		s.dh[l] -= S(fh * w)
 		s.dhu[l] -= S(fhu * w)
 		s.dhv[l] -= S(fhv * w)
@@ -341,8 +220,8 @@ func (s *Solver[S, C]) finiteDiffFaceParallel(dt C) {
 	}
 	for k := range fl.yb {
 		b, tp := fl.yb[k], fl.yt[k]
+		fh, fhu, fhv := rusanovY(g, dry, C(s.h[b]), C(s.hu[b]), C(s.hv[b]), C(s.h[tp]), C(s.hu[tp]), C(s.hv[tp]))
 		w := fl.ylen[k]
-		fh, fhu, fhv := fl.fyh[k], fl.fyhu[k], fl.fyhv[k]
 		s.dh[b] -= S(fh * w)
 		s.dhu[b] -= S(fhu * w)
 		s.dhv[b] -= S(fhv * w)
@@ -365,7 +244,9 @@ func (s *Solver[S, C]) finiteDiffFaceParallel(dt C) {
 		}
 	}
 
-	s.pool.ForN(workers, n, s.parUpdate)
+	n := s.mesh.NumCells()
+	s.curDT = dt
+	s.update(0, n)
 
 	s.accountSweep(uint64(len(fl.xl)+len(fl.yb)), uint64(len(fl.bCell)), uint64(n), 1)
 }
@@ -456,16 +337,13 @@ func (s *Solver[S, C]) cellRHS(m *mesh.Mesh, g C, i int) {
 
 // accountSweep records the analytic tally of one finite-difference sweep.
 func (s *Solver[S, C]) accountSweep(fluxEvals, wallEvals, cells, launches uint64) {
-	sw := uint64(unsafeSizeofS[S]())
-	var cv C
-	cw := uint64(unsafeSizeof(cv))
-	s.addFlops(fluxEvals*flopsPerInteriorFlux+wallEvals*flopsPerWallFlux+cells*flopsPerCellUpdate, 0)
-	s.addTranscendental(fluxEvals*sqrtPerInteriorFlux + wallEvals*sqrtPerWallFlux)
-	_ = cw
+	sw, cw := precision.Sizeof[S](), precision.Sizeof[C]()
+	s.counters.AddFlops(cw, fluxEvals*flopsPerInteriorFlux+wallEvals*flopsPerWallFlux+cells*flopsPerCellUpdate)
+	s.counters.AddTranscendental(cw, fluxEvals*sqrtPerInteriorFlux+wallEvals*sqrtPerWallFlux)
 	s.counters.Add(metrics.Counters{
-		LoadBytes:      fluxEvals*6*sw + wallEvals*2*sw + cells*3*sw,
-		StoreBytes:     cells * 6 * sw,
+		LoadBytes:      (fluxEvals*6 + wallEvals*2 + cells*3) * uint64(sw),
+		StoreBytes:     cells * 6 * uint64(sw),
 		KernelLaunches: launches,
 	})
-	s.addConversions(fluxEvals*6 + wallEvals*2 + cells*6)
+	s.counters.AddConversions(sw, cw, fluxEvals*6+wallEvals*2+cells*6)
 }

@@ -157,21 +157,3 @@ func BenchmarkCLAMRStep(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkParallelScaling(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4", 8: "w8"}[workers], func(b *testing.B) {
-			cfg := Config{NX: 128, NY: 128, MaxLevel: 0, Kernel: KernelFace, AMRInterval: 0, Workers: workers}
-			r, err := New(precision.Full, cfg, testIC(cfg))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := r.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

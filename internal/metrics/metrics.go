@@ -54,6 +54,34 @@ func (c *Counters) Add(other Counters) {
 	c.AllocCount += other.AllocCount
 }
 
+// AddFlops tallies n floating-point operations at a compute width of 4 or
+// 8 bytes (precision.Sizeof of the solver's compute type).
+func (c *Counters) AddFlops(width int, n uint64) {
+	if width == 8 {
+		c.Flops64 += n
+	} else {
+		c.Flops32 += n
+	}
+}
+
+// AddTranscendental tallies n transcendental evaluations at a compute width
+// of 4 or 8 bytes.
+func (c *Counters) AddTranscendental(width int, n uint64) {
+	if width == 8 {
+		c.Transcendental64 += n
+	} else {
+		c.Transcendental32 += n
+	}
+}
+
+// AddConversions tallies n storage↔compute conversions: promotion traffic
+// that exists only when the two widths differ (the mixed modes).
+func (c *Counters) AddConversions(storageWidth, computeWidth int, n uint64) {
+	if storageWidth != computeWidth {
+		c.Conversions += n
+	}
+}
+
 // Scale returns the counters multiplied by f. Because the kernels' tallies
 // are exact linear functions of cells×steps (or nodes×steps), scaling
 // extrapolates a measured run to a larger instance of the same

@@ -33,6 +33,20 @@ func TestCountersAddAndTotals(t *testing.T) {
 	}
 }
 
+func TestCountersAddByWidth(t *testing.T) {
+	var c Counters
+	c.AddFlops(4, 3)
+	c.AddFlops(8, 5)
+	c.AddTranscendental(4, 7)
+	c.AddTranscendental(8, 11)
+	c.AddConversions(4, 4, 100) // same width: no promotion traffic
+	c.AddConversions(4, 8, 13)
+	want := Counters{Flops32: 3, Flops64: 5, Transcendental32: 7, Transcendental64: 11, Conversions: 13}
+	if c != want {
+		t.Errorf("by-width adds = %+v, want %+v", c, want)
+	}
+}
+
 func TestSIAndBytes(t *testing.T) {
 	cases := map[uint64]string{
 		5:             "5",

@@ -3,12 +3,12 @@
 // stealing), so a computation that writes disjoint index ranges produces
 // bit-identical results at every worker count.
 //
-// Two execution engines share that chunking contract: the persistent Pool
-// (long-lived workers parked on an epoch/notify protocol, allocation-free
-// dispatch — the steady-state engine) and the spawn-per-call SpawnForN /
-// SpawnMapReduce path (one goroutine per chunk, kept as the comparison
-// baseline and as the fallback when a pool is busy). The free ForN and
-// MapReduce route through the shared Default pool.
+// One engine runs that contract: the persistent Pool (long-lived workers
+// parked on an epoch/notify protocol, allocation-free dispatch), with
+// Reducer folding per-chunk partials on it. The spawn-per-call SpawnForN
+// (one goroutine per chunk) is what a Pool falls back to when it is busy or
+// closed, and the dispatch-overhead baseline the pool is benchmarked
+// against.
 package par
 
 import (
@@ -23,51 +23,10 @@ func Bounds(n, workers, w int) (lo, hi int) {
 	return n * w / workers, n * (w + 1) / workers
 }
 
-// ForN runs fn over [0, n) split into contiguous chunks across `workers`
-// (≤ 0 selects GOMAXPROCS) and waits for completion. workers == 1 runs
-// inline. fn must write only within its own range (or to per-chunk storage)
-// for the result to be deterministic. Dispatches on the shared Default pool;
-// see Pool.ForN for the allocation notes.
-func ForN(workers, n int, fn func(lo, hi int)) {
-	Default().ForN(workers, n, fn)
-}
-
-// MapReduce runs produce over each chunk, storing one partial per chunk,
-// then folds the partials in chunk order with combine. With an
-// order-insensitive combine (min, max, exact accumulators) the result is
-// bit-identical for every worker count; with float addition it is
-// deterministic for a fixed worker count.
-//
-// This compatibility wrapper allocates its partial buffer per call; hot
-// loops should hold a Reducer instead.
-func MapReduce[T any](workers, n int, produce func(lo, hi int) T, combine func(a, b T) T, zero T) T {
-	if n <= 0 {
-		return zero
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return combine(zero, produce(0, n))
-	}
-	partials := make([]T, workers)
-	Default().ForChunks(workers, n, func(chunk, lo, hi int) {
-		partials[chunk] = produce(lo, hi)
-	})
-	acc := zero
-	for _, p := range partials {
-		acc = combine(acc, p)
-	}
-	return acc
-}
-
 // SpawnForN is the original spawn-per-call fork-join: one goroutine per
 // chunk, created and joined on every invocation. It is the dispatch-overhead
 // baseline the pool is benchmarked against, and the fallback used when a
-// pool is busy or closed. Chunking and results match ForN exactly.
+// pool is busy or closed. Chunking and results match Pool.ForN exactly.
 func SpawnForN(workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -92,39 +51,6 @@ func SpawnForN(workers, n int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// SpawnMapReduce is the spawn-per-call counterpart of MapReduce, kept as
-// the benchmark baseline. Chunking and fold order match MapReduce exactly.
-func SpawnMapReduce[T any](workers, n int, produce func(lo, hi int) T, combine func(a, b T) T, zero T) T {
-	if n <= 0 {
-		return zero
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return combine(zero, produce(0, n))
-	}
-	partials := make([]T, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := Bounds(n, workers, w)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partials[w] = produce(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	acc := zero
-	for _, p := range partials {
-		acc = combine(acc, p)
-	}
-	return acc
 }
 
 // spawnChunks is the spawn-per-call fallback for Pool.ForChunks: chunk

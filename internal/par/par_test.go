@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// mapReduce is the reference the Reducer is compared against: produce over
+// each of `chunks` contiguous ranges, one at a time on the calling
+// goroutine, folded in chunk order. No pool, no partial buffer.
+func mapReduce[T any](chunks, n int, produce func(lo, hi int) T, combine func(a, b T) T, zero T) T {
+	if chunks > n {
+		chunks = n
+	}
+	acc := zero
+	for c := 0; c < chunks; c++ {
+		acc = combine(acc, produce(Bounds(n, chunks, c)))
+	}
+	return acc
+}
+
 func TestBoundsCoverExactly(t *testing.T) {
 	for _, n := range []int{1, 7, 100, 1023} {
 		for _, workers := range []int{1, 2, 3, 8, 16} {
@@ -30,7 +44,7 @@ func TestForNVisitsEachIndexOnce(t *testing.T) {
 	const n = 10000
 	for _, workers := range []int{0, 1, 3, 7, 32} {
 		counts := make([]int32, n)
-		ForN(workers, n, func(lo, hi int) {
+		Default().ForN(workers, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
@@ -43,11 +57,11 @@ func TestForNVisitsEachIndexOnce(t *testing.T) {
 	}
 	// Degenerate inputs.
 	called := false
-	ForN(4, 0, func(lo, hi int) { called = true })
+	Default().ForN(4, 0, func(lo, hi int) { called = true })
 	if called {
 		t.Error("ForN called fn for n=0")
 	}
-	ForN(100, 3, func(lo, hi int) {}) // workers > n must not panic
+	Default().ForN(100, 3, func(lo, hi int) {}) // workers > n must not panic
 }
 
 func TestForNDeterministicOutput(t *testing.T) {
@@ -56,7 +70,7 @@ func TestForNDeterministicOutput(t *testing.T) {
 	const n = 4096
 	run := func(workers int) []float64 {
 		out := make([]float64, n)
-		ForN(workers, n, func(lo, hi int) {
+		Default().ForN(workers, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				x := float64(i) * 0.9999
 				out[i] = math.Sin(x) * math.Exp(-x/1000)
@@ -97,15 +111,16 @@ func TestMapReduceMin(t *testing.T) {
 		}
 		return b
 	}
+	r := NewReducer[float64](Default())
 	ref := produce(0, n)
-	for _, workers := range []int{1, 2, 4, 9, 64} {
-		got := MapReduce(workers, n, produce, minOf, math.Inf(1))
+	for _, workers := range []int{0, 1, 2, 4, 9, 64} {
+		got := r.Reduce(workers, n, produce, minOf, math.Inf(1))
 		if got != ref {
 			t.Fatalf("workers=%d min %g want %g", workers, got, ref)
 		}
 	}
-	if got := MapReduce(4, 0, produce, minOf, math.Inf(1)); !math.IsInf(got, 1) {
-		t.Error("empty MapReduce did not return zero value")
+	if got := r.Reduce(4, 0, produce, minOf, math.Inf(1)); !math.IsInf(got, 1) {
+		t.Error("empty Reduce did not return zero value")
 	}
 }
 
@@ -119,11 +134,17 @@ func TestMapReduceSumDeterministicPerWorkerCount(t *testing.T) {
 		return s
 	}
 	add := func(a, b float64) float64 { return a + b }
+	r := NewReducer[float64](Default())
 	for _, workers := range []int{1, 3, 8} {
-		a := MapReduce(workers, n, produce, add, 0)
-		b := MapReduce(workers, n, produce, add, 0)
+		a := r.Reduce(workers, n, produce, add, 0)
+		b := r.Reduce(workers, n, produce, add, 0)
 		if a != b {
 			t.Fatalf("workers=%d not deterministic: %x vs %x", workers, a, b)
+		}
+		// Float addition does not commute in rounding, so equality with the
+		// reference also pins the fold to chunk order.
+		if want := mapReduce(workers, n, produce, add, 0); a != want {
+			t.Fatalf("workers=%d sum %x, chunk-order reference %x", workers, a, want)
 		}
 	}
 }

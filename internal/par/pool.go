@@ -13,11 +13,10 @@ import (
 // nothing.
 //
 // Determinism contract: work is split into `chunks` fixed contiguous ranges
-// by Bounds(n, chunks, c), exactly the chunking of the free ForN/MapReduce
-// helpers. Which worker executes a chunk is scheduling-dependent, but the
-// chunk→index-range map depends only on (n, chunks), so any computation with
-// disjoint writes (or per-chunk partials) is bit-identical at every pool
-// size and across runs.
+// by Bounds(n, chunks, c). Which worker executes a chunk is
+// scheduling-dependent, but the chunk→index-range map depends only on
+// (n, chunks), so any computation with disjoint writes (or per-chunk
+// partials) is bit-identical at every pool size and across runs.
 //
 // A Pool's dispatches are serialized internally. If a dispatch arrives while
 // another is in flight (concurrent solvers sharing the Default pool, or a
@@ -153,8 +152,7 @@ func (p *Pool) tryDispatch(nChunks, n int, fnRange func(lo, hi int), fnChunk fun
 
 // ForN runs fn over [0, n) split into `chunks` contiguous ranges
 // (chunks ≤ 0 selects the pool size; chunks is clamped to n). chunks == 1
-// runs inline. The chunking — and therefore the result of any disjoint-write
-// kernel — is identical to the free ForN with workers = chunks.
+// runs inline.
 //
 // fn is called once per non-empty chunk; to dispatch without allocating,
 // pass a closure that lives across calls (prebound on the solver) rather
@@ -195,8 +193,8 @@ func (p *Pool) ForChunks(chunks, n int, fn func(chunk, lo, hi int)) {
 	}
 }
 
-// defaultPool is the shared package pool behind the free ForN/MapReduce
-// wrappers and the solvers. Sized to GOMAXPROCS at first use.
+// defaultPool is the shared package pool the solvers dispatch on. Sized to
+// GOMAXPROCS at first use.
 var (
 	defaultOnce sync.Once
 	defaultPool *Pool
@@ -236,10 +234,11 @@ func NewReducer[T any](p *Pool) *Reducer[T] {
 }
 
 // Reduce evaluates produce over `chunks` contiguous ranges of [0, n) and
-// folds the per-chunk partials in chunk order with combine — the same
-// semantics as the free MapReduce with workers = chunks, minus the per-call
-// allocations. produce and combine should be prebound closures for the call
-// to stay allocation-free.
+// folds the per-chunk partials in chunk order with combine. With an
+// order-insensitive combine (min, max, exact accumulators) the result is
+// bit-identical for every chunk count; with float addition it is
+// deterministic for a fixed chunk count. produce and combine should be
+// prebound closures for the call to stay allocation-free.
 func (r *Reducer[T]) Reduce(chunks, n int, produce func(lo, hi int) T, combine func(a, b T) T, zero T) T {
 	if n <= 0 {
 		return zero

@@ -139,7 +139,7 @@ func TestReducerMatchesMapReduce(t *testing.T) {
 		return m
 	}
 	for _, chunks := range []int{1, 2, 4, 9, 64} {
-		want := MapReduce(chunks, n, produce, math.Min, math.Inf(1))
+		want := mapReduce(chunks, n, produce, math.Min, math.Inf(1))
 		got := r.Reduce(chunks, n, produce, math.Min, math.Inf(1))
 		if got != want {
 			t.Fatalf("chunks=%d reducer %g mapreduce %g", chunks, got, want)

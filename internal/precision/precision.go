@@ -41,6 +41,25 @@ type Real interface {
 	~float32 | ~float64
 }
 
+// Sizeof returns the width in bytes of one T (4 or 8), decided by whether
+// 2²⁴+1 survives the conversion, so a named type in Real's type set answers
+// by its underlying width.
+func Sizeof[T Real]() int {
+	const odd = 1<<24 + 1
+	if float64(T(odd)) != odd {
+		return 4
+	}
+	return 8
+}
+
+// Abs returns |x| at x's own precision.
+func Abs[T Real](x T) T {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 // Mode identifies a (storage, compute) precision pairing.
 type Mode int
 

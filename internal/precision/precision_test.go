@@ -220,3 +220,14 @@ func TestDemote(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSizeofAndAbs(t *testing.T) {
+	type named32 float32
+	type named64 float64
+	if got := [4]int{Sizeof[float32](), Sizeof[float64](), Sizeof[named32](), Sizeof[named64]()}; got != [4]int{4, 8, 4, 8} {
+		t.Errorf("Sizeof over {float32, float64, ~float32, ~float64} = %v, want [4 8 4 8]", got)
+	}
+	if Abs(float32(-1.5)) != 1.5 || Abs(2.5) != 2.5 || Abs(0.0) != 0 {
+		t.Error("Abs wrong on -1.5 / 2.5 / 0")
+	}
+}

@@ -127,8 +127,9 @@ type RunOpts struct {
 	Resume io.Reader
 	// Checkpoint receives a copy of the final-state checkpoint bytes.
 	Checkpoint io.Writer
-	// Workers bounds the solver's parallel chunk budget (0 = GOMAXPROCS).
-	// Results are bit-identical at every setting.
+	// Workers is the solver's parallel chunk budget (≤1 = serial; 0 is
+	// normalised to 1 by the solver). Results are bit-identical at every
+	// setting.
 	Workers int
 	// GuardEvery sets the numerical-sentinel cadence (0 = the core
 	// default; negative disables the periodic sentinels).

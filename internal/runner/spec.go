@@ -238,8 +238,8 @@ func (s ExperimentSpec) PrecisionMode() (precision.Mode, error) {
 }
 
 // CLAMRConfig materializes the CLAMR configuration the spec describes.
-// workers sets the parallel chunk budget (0 = solver default); it is an
-// execution detail, never part of the hash.
+// workers sets the parallel chunk budget (≤1 = serial; 0 is normalised to
+// 1 by the solver); it is an execution detail, never part of the hash.
 func (s ExperimentSpec) CLAMRConfig(workers int) (clamr.Config, error) {
 	if s.App != AppCLAMR {
 		return clamr.Config{}, fmt.Errorf("runner: spec is for app %q, not clamr", s.App)

@@ -14,8 +14,7 @@ import (
 // of internal/f32math (Intel profile); MathPromoted round-trips through the
 // float64 libm with conversion accounting (GNU profile).
 func (s *Solver[S, C]) setupMath() {
-	var cv C
-	if sizeofReal(cv) == 8 {
+	if precision.Sizeof[C]() == 8 {
 		s.powFn = func(x, y C) C { return C(math.Pow(float64(x), float64(y))) }
 		s.powConvs = 0
 		return
@@ -49,7 +48,7 @@ func (s *Solver[S, C]) computeRHS() {
 	workers := s.cfg.Workers
 	s.pool.ForN(workers, s.nNodes, s.parPressure)
 	s.pool.ForN(workers, s.nNodes, s.parClearRHS)
-	s.pool.ForChunks(s.chunks(), s.ne*s.ne*s.ne, s.parElems)
+	s.pool.ForChunks(workers, s.ne*s.ne*s.ne, s.parElems)
 	s.accountRHS()
 }
 
@@ -252,8 +251,8 @@ func rusanov[C precision.Real](qL, qR faceState[C], dir int) (f [nVars]C) {
 	velL, velR := faceVel(qL, dir), faceVel(qR, dir)
 	cL := C(math.Sqrt(float64(C(Gamma) * (qL.pp + qL.pbar) / qL.rho)))
 	cR := C(math.Sqrt(float64(C(Gamma) * (qR.pp + qR.pbar) / qR.rho)))
-	sm := absC(velL) + cL
-	if s2 := absC(velR) + cR; s2 > sm {
+	sm := precision.Abs(velL) + cL
+	if s2 := precision.Abs(velR) + cR; s2 > sm {
 		sm = s2
 	}
 	half := C(0.5)
@@ -301,13 +300,6 @@ func faceVel[C precision.Real](q faceState[C], dir int) C {
 	default:
 		return q.rw / q.rho
 	}
-}
-
-func absC[C precision.Real](x C) C {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // faceCorrections applies the strong-form DG SAT terms on all six faces of
@@ -446,12 +438,12 @@ func (s *Solver[S, C]) faceCorrections(e, ex, ey, ez int, pprime []C) {
 func (s *Solver[S, C]) applyFilter() {
 	np := s.np
 	nElems := s.ne * s.ne * s.ne
-	s.pool.ForChunks(s.chunks(), nElems, s.parFilter)
+	s.pool.ForChunks(s.cfg.Workers, nElems, s.parFilter)
 	nodes := uint64(s.nNodes)
-	s.addFlops(nodes*nVars*3*2*uint64(np), 0)
+	s.counters.AddFlops(precision.Sizeof[C](), nodes*nVars*3*2*uint64(np))
 	s.counters.Add(metrics.Counters{
-		LoadBytes:  nodes * nVars * uint64(sizeofRealT[S]()),
-		StoreBytes: nodes * nVars * uint64(sizeofRealT[S]()),
+		LoadBytes:  nodes * nVars * uint64(precision.Sizeof[S]()),
+		StoreBytes: nodes * nVars * uint64(precision.Sizeof[S]()),
 	})
 }
 
@@ -516,44 +508,34 @@ func (s *Solver[S, C]) filterElement(e int, buf, out []C) {
 	}
 }
 
-func sizeofRealT[T precision.Real]() int {
-	var v T
-	return sizeofReal(v)
-}
-
 // accountRHS records the analytic operation tally of one RHS evaluation.
 func (s *Solver[S, C]) accountRHS() {
 	nodes := uint64(s.nNodes)
 	np := uint64(s.np)
 	faceNodes := uint64(s.ne*s.ne*s.ne) * 6 * np * np
-	sw := uint64(sizeofRealT[S]())
-	var cv C
-	cw := uint64(sizeofReal(cv))
+	sw, cw := precision.Sizeof[S](), precision.Sizeof[C]()
+	c := &s.counters
 
 	// EOS pass: one pow (≈transcendental) + 4 flops per node.
-	s.addTranscendental(nodes)
-	s.addFlops(nodes*4, 0)
-	if s.powConvs > 0 {
-		s.counters.Conversions += nodes * s.powConvs
-	}
+	c.AddTranscendental(cw, nodes)
+	c.AddFlops(cw, nodes*4)
+	c.Conversions += nodes * s.powConvs
 	// Volume: flux fill ≈ 12 flops/node/dir; derivative 2·np MACs per
 	// node per dir per variable.
-	s.addFlops(nodes*3*12+nodes*3*nVars*2*np, 0)
+	c.AddFlops(cw, nodes*3*12+nodes*3*nVars*2*np)
 	// Faces: gather + Rusanov ≈ 60 flops and 2 sqrt per face node pair,
 	// plus 5-variable lifting.
-	s.addFlops(faceNodes*70, 0)
-	s.addTranscendental(faceNodes * 2)
+	c.AddFlops(cw, faceNodes*70)
+	c.AddTranscendental(cw, faceNodes*2)
 	// Source + zeroing.
-	s.addFlops(nodes*3, 0)
+	c.AddFlops(cw, nodes*3)
 	// Traffic: state is read for EOS, three flux fills and faces, written
 	// once by the RK update (counted there as part of this stage).
-	s.counters.Add(metrics.Counters{
-		LoadBytes:      nodes*nVars*sw*4 + faceNodes*nVars*sw,
-		StoreBytes:     nodes * nVars * cw,
+	c.Add(metrics.Counters{
+		LoadBytes:      (nodes*nVars*4 + faceNodes*nVars) * uint64(sw),
+		StoreBytes:     nodes * nVars * uint64(cw),
 		KernelLaunches: 1,
 	})
 	// Mixed-style promotion traffic (S ≠ C).
-	if sw != cw {
-		s.counters.Conversions += nodes * nVars * 4
-	}
+	c.AddConversions(sw, cw, nodes*nVars*4)
 }

@@ -87,8 +87,9 @@ type Config struct {
 	// MathMode selects the transcendental code-generation profile.
 	MathMode MathMode
 	// Workers runs the RHS, update and filter passes fork-join parallel
-	// over this many goroutines (≤1 = serial). All passes write disjoint
-	// ranges, so results are bit-identical at any worker count.
+	// over this many chunks (≤1 = serial; 0 is normalised to 1). All
+	// passes write disjoint ranges, so results are bit-identical at any
+	// worker count.
 	Workers int
 	// Bubble parameters: potential-temperature amplitude (K), radius (m)
 	// and center; defaults 0.5 K, Domain/4, (L/2, L/2, 0.35L).
@@ -133,6 +134,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.BubbleCenter == [3]float64{} {
 		c.BubbleCenter = [3]float64{c.Domain / 2, c.Domain / 2, 0.35 * c.Domain}
+	}
+	if c.Workers < 1 {
+		c.Workers = 1
 	}
 	return nil
 }
@@ -244,13 +248,11 @@ func NewSolver[S, C precision.Real](cfg Config) (*Solver[S, C], error) {
 	s.phRHS = s.timer.Cell("rhs")
 	s.phRK = s.timer.Cell("rk")
 	s.phFilter = s.timer.Cell("filter")
-	var sv S
-	var cv C
 	modeLabel := "min"
 	switch {
-	case sizeofReal(sv) == 8:
+	case precision.Sizeof[S]() == 8:
 		modeLabel = "full"
-	case sizeofReal(cv) == 8:
+	case precision.Sizeof[C]() == 8:
 		modeLabel = "mixed"
 	}
 	s.stepDur = obs.StepDuration("self", modeLabel)
@@ -260,15 +262,6 @@ func NewSolver[S, C precision.Real](cfg Config) (*Solver[S, C], error) {
 	s.bindKernels()
 	s.applyIC()
 	return s, nil
-}
-
-// chunks returns the dispatch chunk count the Workers option selects (the
-// determinism-relevant number; pool size is independent of it).
-func (s *Solver[S, C]) chunks() int {
-	if s.cfg.Workers > 1 {
-		return s.cfg.Workers
-	}
-	return 1
 }
 
 func toC[C precision.Real](xs []float64) []C {
@@ -290,7 +283,7 @@ func (s *Solver[S, C]) allocate() {
 		s.rhs[v] = make([]C, n)
 	}
 	s.scrP = make([]C, n)
-	nChunks := s.chunks()
+	nChunks := s.cfg.Workers // per-chunk scratch: the chunk count, not the pool size
 	s.elemScratch = make([][]C, nChunks)
 	s.filterBuf = make([][]C, nChunks)
 	s.filterOut = make([][]C, nChunks)
@@ -300,22 +293,13 @@ func (s *Solver[S, C]) allocate() {
 		s.filterOut[c] = make([]C, np3)
 	}
 
-	var sv S
-	var cv C
-	sw, cw := uint64(sizeofReal(sv)), uint64(sizeofReal(cv))
+	sw, cw := uint64(precision.Sizeof[S]()), uint64(precision.Sizeof[C]())
 	s.alloc.Register("state", nVars*uint64(n)*sw)
 	s.alloc.Register("rk+rhs", 2*nVars*uint64(n)*cw)
 	s.alloc.Register("pressure", uint64(n)*cw)
 	s.alloc.Register("background", 3*uint64(len(s.rhoBar))*cw)
 	s.alloc.Register("operators", uint64(len(s.dmat)+len(s.filter))*cw)
 	s.alloc.Register("scratch", uint64(nChunks)*uint64((nVars+2)*np3)*cw)
-}
-
-func sizeofReal(v any) int {
-	if _, ok := v.(float32); ok {
-		return 4
-	}
-	return 8
 }
 
 // setupBackground tabulates the hydrostatic profiles at every global
@@ -443,7 +427,7 @@ func (s *Solver[S, C]) Step() error {
 		s.rkA, s.rkB, s.rkDT = C(lsrkA[stage]), C(lsrkB[stage]), cdt
 		s.pool.ForN(s.cfg.Workers, s.nNodes, s.parRK)
 		s.phRK.Observe(startRK)
-		s.addFlops(uint64(s.nNodes)*nVars*4, 0)
+		s.counters.AddFlops(precision.Sizeof[C](), uint64(s.nNodes)*nVars*4)
 	}
 	if s.cfg.FilterInterval > 0 && (s.step+1)%s.cfg.FilterInterval == 0 {
 		startF := time.Now()
@@ -495,23 +479,4 @@ func (s *Solver[S, C]) Run(n int) error {
 		}
 	}
 	return nil
-}
-
-func (s *Solver[S, C]) addFlops(compute, storage uint64) {
-	var cv C
-	if sizeofReal(cv) == 8 {
-		s.counters.Flops64 += compute
-	} else {
-		s.counters.Flops32 += compute
-	}
-	_ = storage
-}
-
-func (s *Solver[S, C]) addTranscendental(n uint64) {
-	var cv C
-	if sizeofReal(cv) == 8 {
-		s.counters.Transcendental64 += n
-	} else {
-		s.counters.Transcendental32 += n
-	}
 }

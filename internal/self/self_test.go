@@ -2,9 +2,11 @@ package self
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/precision"
 )
 
@@ -396,5 +398,41 @@ func TestSELFFieldDump(t *testing.T) {
 	}
 	if _, err := s.WriteFieldDump(&buf, 48, 48, 99); err == nil {
 		t.Error("invalid rate accepted")
+	}
+}
+
+// TestZeroWorkersMeansSerial pins the Config.Workers contract: the zero
+// value is normalised to 1 at construction, so a zero-value Config takes the
+// serial path — one chunk of scratch in StateBytes — and reports exactly
+// what Workers: 1 reports.
+func TestZeroWorkersMeansSerial(t *testing.T) {
+	type outcome struct {
+		workers    int
+		counters   metrics.Counters
+		stateBytes uint64
+		stateHash  [sha256.Size]byte
+	}
+	run := func(workers int) outcome {
+		cfg := smallConfig()
+		cfg.Workers = workers
+		s, err := NewSolver[float32, float64](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(5); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{s.cfg.Workers, s.Counters(), s.StateBytes(), sha256.Sum256(buf.Bytes())}
+	}
+	zero, one := run(0), run(1)
+	if zero != one {
+		t.Errorf("zero-value Workers ran as\n %+v\nWorkers: 1 as\n %+v", zero, one)
+	}
+	if two := run(2); two.stateBytes <= one.stateBytes {
+		t.Errorf("StateBytes %d at Workers: 2 not above %d at Workers: 1: per-chunk scratch not accounted", two.stateBytes, one.stateBytes)
 	}
 }

@@ -56,14 +56,16 @@
 // policy opened: a spec submitted with mode "auto" plus accuracy budgets
 // (max_mass_error, max_linecut_linf) is resolved at admission to the
 // cheapest concrete precision mode the fleet's accumulated evidence shows
-// meets the budgets. Every shape starts at full; after -autotune-warm
-// clean results the daemon probes one rung down, commits the demotion only
-// if a shadow run on a second executor reproduces it bit-identically and
-// its measured fidelity fits the requesting budgets, and reverts (with
-// hysteresis) on any later numerical escalation. The learned table is
-// journaled with the WAL, recovered on restart, and readable at
-// GET /v1/autotune; job views report the resolved tuned_mode and the
-// modeled joules/dollars saved against the full-precision baseline.
+// meets the budgets. A shape is tuned once an auto submission names it
+// (concrete-only shapes are never probed); it starts at full, and after
+// -autotune-warm clean results of that shape, auto or concrete, the daemon
+// probes one rung down, commits the demotion only if a shadow run on a
+// second executor reproduces it bit-identically and its measured fidelity
+// fits the requesting budgets, and reverts (with hysteresis) on any later
+// numerical escalation. The learned table is journaled with the WAL,
+// recovered on restart, and readable at GET /v1/autotune; job views report
+// the resolved tuned_mode and the modeled joules/dollars saved against the
+// full-precision baseline.
 //
 // Result reads go through the tiered read path (DESIGN.md §11): an
 // in-memory hot tier of pre-serialized payloads (-hot-bytes, 0 disables),

@@ -20,6 +20,7 @@ type Trace struct {
 	startedAt time.Time // wall anchor
 	anchor    time.Time // monotonic anchor (same instant)
 	spans     []spanRec
+	released  bool // Release dropped every span but the root; writes are no-ops
 }
 
 type spanRec struct {
@@ -64,13 +65,37 @@ func (t *Trace) Root() Span {
 	return Span{t: t, i: 0}
 }
 
+// Release drops every span but the root and makes every later write through
+// any Span of the trace a no-op — for a job whose timeline has been
+// serialized elsewhere, so handles still held by late writers (a hedge
+// loser's upload) cannot grow it back. Snapshot then reports the root alone.
+func (t *Trace) Release() {
+	t.mu.Lock()
+	t.spans = []spanRec{t.spans[0]}
+	t.released = true
+	t.mu.Unlock()
+}
+
+// lock takes the trace lock for a write through s. It reports false, with
+// the lock not held, for the zero Span and for a released trace.
+func (s Span) lock() bool {
+	if s.t == nil {
+		return false
+	}
+	s.t.mu.Lock()
+	if s.t.released {
+		s.t.mu.Unlock()
+		return false
+	}
+	return true
+}
+
 // Child opens a child span starting now.
 func (s Span) Child(name string, attrs ...Attr) Span {
-	if s.t == nil {
+	if !s.lock() {
 		return Span{}
 	}
 	t := s.t
-	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.spans = append(t.spans, spanRec{name: name, parent: s.i, startNs: t.nowNs(), attrs: attrs})
 	return Span{t: t, i: len(t.spans) - 1}
@@ -78,11 +103,10 @@ func (s Span) Child(name string, attrs ...Attr) Span {
 
 // Event records an instantaneous child span (start == end == now).
 func (s Span) Event(name string, attrs ...Attr) {
-	if s.t == nil {
+	if !s.lock() {
 		return
 	}
 	t := s.t
-	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.nowNs()
 	t.spans = append(t.spans, spanRec{name: name, parent: s.i, startNs: now, endNs: now, attrs: attrs})
@@ -93,11 +117,10 @@ func (s Span) Event(name string, attrs ...Attr) {
 // start and clamped inside the parent, and marked kind=aggregate so readers
 // do not mistake it for a contiguous interval.
 func (s Span) AggregateChild(name string, d time.Duration, attrs ...Attr) {
-	if s.t == nil {
+	if !s.lock() {
 		return
 	}
 	t := s.t
-	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.spans[s.i]
 	start := p.startNs
@@ -118,11 +141,10 @@ func (s Span) AggregateChild(name string, d time.Duration, attrs ...Attr) {
 // reported after the fact — a remote lease wait recorded once the lease is
 // granted.
 func (s Span) PrefixChild(name string, d time.Duration, attrs ...Attr) {
-	if s.t == nil {
+	if !s.lock() {
 		return
 	}
 	t := s.t
-	t.mu.Lock()
 	defer t.mu.Unlock()
 	end := t.nowNs()
 	start := end - int64(d)
@@ -137,10 +159,9 @@ func (s Span) PrefixChild(name string, d time.Duration, attrs ...Attr) {
 
 // Annotate appends attributes to the span.
 func (s Span) Annotate(attrs ...Attr) {
-	if s.t == nil {
+	if !s.lock() {
 		return
 	}
-	s.t.mu.Lock()
 	s.t.spans[s.i].attrs = append(s.t.spans[s.i].attrs, attrs...)
 	s.t.mu.Unlock()
 }
@@ -154,12 +175,11 @@ func (s Span) Annotate(attrs ...Attr) {
 // deterministic result hash, so modest cross-node clock skew only shifts
 // display offsets.
 func (s Span) SetRemote(td TraceData) {
-	if s.t == nil {
-		return
-	}
 	cp := td
 	cp.Spans = append([]SpanData(nil), td.Spans...)
-	s.t.mu.Lock()
+	if !s.lock() {
+		return
+	}
 	s.t.spans[s.i].remote = &cp
 	s.t.mu.Unlock()
 }
@@ -167,11 +187,10 @@ func (s Span) SetRemote(td TraceData) {
 // End closes the span now. Ending an already-ended span is a no-op, so a
 // terminal path can close the root unconditionally.
 func (s Span) End() {
-	if s.t == nil {
+	if !s.lock() {
 		return
 	}
 	t := s.t
-	t.mu.Lock()
 	if t.spans[s.i].endNs == 0 {
 		t.spans[s.i].endNs = t.nowNs()
 	}

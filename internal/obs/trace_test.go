@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -162,4 +163,38 @@ func hasAttr(attrs []Attr, key, value string) bool {
 		}
 	}
 	return false
+}
+
+// TestReleaseKeepsRootAndDropsLateWrites: a released trace keeps its root
+// span alone, and every write through a handle taken before the release —
+// including handles to spans that no longer exist — is a no-op.
+func TestReleaseKeepsRootAndDropsLateWrites(t *testing.T) {
+	tr := NewTrace("job-000001", "job", Str("app", "clamr"))
+	root := tr.Root()
+	att := root.Child("attempt")
+	att.End()
+	root.Annotate(Str("status", "done"))
+	root.End()
+	want := tr.Snapshot().Spans[0]
+
+	tr.Release()
+	att.Annotate(Str("outcome", "late"))
+	att.SetRemote(TraceData{Spans: []SpanData{{Name: "solve", Parent: -1}}})
+	att.Event("upload")
+	att.AggregateChild("phase:flux", time.Millisecond)
+	att.PrefixChild("lease_wait", time.Millisecond)
+	att.End()
+	if late := root.Child("hedge_attempt"); late != (Span{}) {
+		t.Errorf("Child on a released trace = %+v, want the zero Span", late)
+	}
+	root.Event("hedge_verified")
+	root.Annotate(Str("late", "1"))
+
+	td := tr.Snapshot()
+	if len(td.Spans) != 1 {
+		t.Fatalf("released trace has %d spans, want the root alone", len(td.Spans))
+	}
+	if !reflect.DeepEqual(td.Spans[0], want) {
+		t.Errorf("root = %+v, want %+v", td.Spans[0], want)
+	}
 }

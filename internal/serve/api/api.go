@@ -421,12 +421,14 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		return // client went away; nothing useful to write
 	}
+	etag := resultETag(job.SpecHash)
+	if job.Snapshot().Status == queue.StatusDone && etagMatches(r.Header.Get("If-None-Match"), etag) {
+		// Before reading the payload, which for an executed job is a cache
+		// read: a revalidation touches no tier.
+		s.writeNotModified(w, etag)
+		return
+	}
 	if payload, ok := job.Result(); ok {
-		etag := resultETag(job.SpecHash)
-		if etagMatches(r.Header.Get("If-None-Match"), etag) {
-			s.writeNotModified(w, etag)
-			return
-		}
 		s.reads.With("job").Inc()
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Cache-Control", "no-cache")

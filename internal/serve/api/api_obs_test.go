@@ -90,7 +90,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`precisiond_run_duration_seconds_count{app="clamr",mode="full"} 1`,
 		`precisiond_queue_wait_seconds_bucket{le="+Inf"} 1`,
 		`precisiond_jobs_total{event="cache_hit"} 1`,
-		`precisiond_cache_events_total{event="hit"} 1`,
+		// The executed job's result read and the cache-hit admission probe.
+		`precisiond_cache_events_total{event="hit"} 2`,
 		`precisiond_cache_events_total{event="put"} 1`,
 		`precisiond_run_flops_total{width="64"}`,
 		`precisiond_workers 1`,

@@ -222,3 +222,35 @@ func TestDiskTierReadsBelowTinyHotTier(t *testing.T) {
 			after.DiskHits, reval.DiskHits, after.Puts, reval.Puts)
 	}
 }
+
+// TestJobScopedReadsOfExecutedJob: an executed job keeps its payload only in
+// the cache, so reading its result or its trace is a cache read and counts
+// as one; a matching If-None-Match is answered before any tier is touched.
+func TestJobScopedReadsOfExecutedJob(t *testing.T) {
+	srv, _, c := newTestServer(t, queue.Config{Workers: 1})
+	v, _ := submit(t, srv, clamrSpec(4, "full"))
+	url := srv.URL + "/v1/jobs/" + v.ID
+	resp, body := get(t, url+"/result", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result status %d: %s", resp.StatusCode, body)
+	}
+	if stored, ok := c.Get(v.SpecHash); !ok || !bytes.Equal(stored, body) {
+		t.Fatal("job-scoped result differs from the cached payload")
+	}
+	hits := c.Stats().Hits // the result read and the Get above
+	if hits != 2 {
+		t.Fatalf("cache hits after one result read = %d, want 2", hits)
+	}
+	if resp304, _ := get(t, url+"/result", resp.Header.Get("ETag")); resp304.StatusCode != http.StatusNotModified {
+		t.Fatalf("revalidation status %d, want 304", resp304.StatusCode)
+	}
+	if got := c.Stats().Hits; got != hits {
+		t.Errorf("a 304 read the cache: hits %d -> %d", hits, got)
+	}
+	if resp, body := get(t, url+"/trace", ""); resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"attempt"`)) {
+		t.Fatalf("trace status %d, body %s", resp.StatusCode, body)
+	}
+	if got := c.Stats().Hits; got != hits+1 {
+		t.Errorf("trace read: cache hits %d -> %d, want one more", hits, got)
+	}
+}

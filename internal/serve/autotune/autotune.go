@@ -7,17 +7,20 @@
 // half→min→mixed→full on numerical failure — but nothing ever demoted a
 // workload back down once the fleet had evidence it was safe. This package
 // is internal/tuner's greedy-demotion search recast as an online policy:
-// start every shape at full, and after a warm streak of clean results probe
-// one rung down the ladder. A probe only commits if a shadow run on a
-// second executor reproduces it bit-identically (the -verify-n machinery)
-// and its measured fidelity fits the budgets that asked for it; a failed
-// probe or a later escalation reverts the entry and quarantines the
-// demotion with hysteresis (the warm requirement doubles).
+// a shape gets a row when an auto submission first names it, starts at
+// full, and after a warm streak of clean results probes one rung down the
+// ladder. A probe only commits if a shadow run on a second executor
+// reproduces it bit-identically (the -verify-n machinery) and its measured
+// fidelity fits the budgets that asked for it; a failed probe or a later
+// escalation reverts the entry and quarantines the demotion with
+// hysteresis (the warm requirement doubles). Shapes nobody asked to tune
+// have no row and cost nothing: their results are not observed.
 //
 // The decision table is journaled through the scheduler's WAL (`tuned`
-// records, latest-per-key across compaction), so a SIGKILL'd coordinator
-// recovers its learned state — including the escalation histories of jobs
-// that finished before the crash, which replay now surfaces.
+// records, latest-per-key across compaction; a row's first record is
+// written when it is created), so a SIGKILL'd coordinator recovers its
+// learned state — including the escalation histories of jobs that
+// finished before the crash, which replay now surfaces.
 package autotune
 
 import (
@@ -220,7 +223,9 @@ func New(cfg Config) *Tuner {
 }
 
 // ensureLocked returns the entry for key, creating it from the concrete
-// template spec if absent. Caller holds t.mu.
+// template spec if absent. Caller holds t.mu. Resolve of an auto spec is
+// its one caller: that is the only way a row comes to exist (Recover
+// restores journaled ones).
 func (t *Tuner) ensureLocked(key string, tmpl runner.ExperimentSpec) *entry {
 	e, ok := t.entries[key]
 	if !ok {
@@ -234,9 +239,26 @@ func (t *Tuner) ensureLocked(key string, tmpl runner.ExperimentSpec) *entry {
 	return e
 }
 
+// lookup returns the existing entry for spec's shape with t.mu held, or
+// nil (lock not held) when the shape has no row.
+func (t *Tuner) lookup(spec runner.ExperimentSpec) *entry {
+	key, err := Key(spec)
+	if err != nil {
+		return nil
+	}
+	t.mu.Lock()
+	e, ok := t.entries[key]
+	if !ok {
+		t.mu.Unlock()
+		return nil
+	}
+	return e
+}
+
 // Resolve maps a spec onto the cheapest concrete mode the table's verified
 // evidence shows meets its budgets. Concrete specs pass through normalized;
-// auto specs resolve to full until evidence exists. The returned spec has
+// auto specs resolve to full until evidence exists, and the first auto
+// spec of a shape creates (and journals) its row. The returned spec has
 // its budgets stripped, so it hashes exactly like a plain submission of the
 // same shape at the chosen mode — the cache/dedup contract is untouched.
 func (t *Tuner) Resolve(spec runner.ExperimentSpec) (runner.ExperimentSpec, error) {
@@ -252,6 +274,7 @@ func (t *Tuner) Resolve(spec runner.ExperimentSpec) (runner.ExperimentSpec, erro
 		return spec, err
 	}
 	mode, decision := "full", "full_cold"
+	created := false
 	t.mu.Lock()
 	if e, ok := t.entries[key]; ok {
 		decision = "full_no_evidence"
@@ -272,8 +295,14 @@ func (t *Tuner) Resolve(spec runner.ExperimentSpec) (runner.ExperimentSpec, erro
 	} else {
 		e := t.ensureLocked(key, n.Concrete("full"))
 		e.lastMaxMass, e.lastMaxLinf = n.MaxMassError, n.MaxLinecutLinf
+		created = true
 	}
 	t.mu.Unlock()
+	if created {
+		// Journaled at birth, so the shape stays requested across a restart
+		// and Recover's escalation replay finds its row.
+		t.journalEntry(key)
+	}
 	t.decisions.With(decision).Inc()
 	t.log.Debug("autotune resolved",
 		obs.Str("app", n.App), obs.Str("mode", mode), obs.Str("decision", decision))
@@ -299,23 +328,23 @@ func budgetOK(req runner.ExperimentSpec, ev evidence) bool {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// ObserveResult feeds one completed (non-cached) run into the table: full
-// runs refresh the fidelity reference and the savings baseline, demoted
-// runs fold their measured fidelity in worst-case, and a clean streak at
-// the committed frontier launches the next demotion probe.
+// ObserveResult feeds one completed (non-cached) run of a requested shape
+// into its row — concrete and auto traffic alike: full runs refresh the
+// fidelity reference and the savings baseline, demoted runs fold their
+// measured fidelity in worst-case, and a clean streak at the committed
+// frontier launches the next demotion probe. A shape with no row is
+// ignored.
 func (t *Tuner) ObserveResult(spec runner.ExperimentSpec, res *runner.Result) {
 	if res == nil {
 		return
 	}
-	key, err := Key(spec)
-	if err != nil {
+	e := t.lookup(spec)
+	if e == nil {
 		return
 	}
-	mode := spec.Mode
+	key, mode := e.key, spec.Mode
 	var probeSpec *runner.ExperimentSpec
 	var savedJ, savedD float64
-	t.mu.Lock()
-	e := t.ensureLocked(key, spec)
 	e.Spec = spec
 	changed := false
 	if mode == "full" {
@@ -482,16 +511,15 @@ func (t *Tuner) probe(key string, probeSpec runner.ExperimentSpec) {
 }
 
 // ObserveEscalation feeds a numerical failure at esc.FromMode into the
-// table: that mode and everything below it is floored out, committed
-// demotions at or below it revert, and the warm requirement doubles.
+// row of a requested shape: that mode and everything below it is floored
+// out, committed demotions at or below it revert, and the warm requirement
+// doubles. A shape with no row is ignored.
 func (t *Tuner) ObserveEscalation(spec runner.ExperimentSpec, esc runner.Escalation) {
-	key, err := Key(spec)
-	if err != nil {
+	e := t.lookup(spec)
+	if e == nil {
 		return
 	}
-	failed := rung(esc.FromMode)
-	t.mu.Lock()
-	e := t.ensureLocked(key, spec.Concrete("full"))
+	key, failed := e.key, rung(esc.FromMode)
 	newFloor, _ := failed.Next() // full saturates
 	if newFloor.Rank() > e.floorRank() {
 		e.Floor = newFloor.Name()
@@ -526,16 +554,11 @@ func (t *Tuner) Savings(spec runner.ExperimentSpec, res *runner.Result) (joules,
 	if res == nil || res.Energy == nil || spec.Mode == "full" || res.Steps <= 0 {
 		return 0, 0, false
 	}
-	key, err := Key(spec)
-	if err != nil {
+	e := t.lookup(spec)
+	if e == nil {
 		return 0, 0, false
 	}
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, exists := t.entries[key]
-	if !exists {
-		return 0, 0, false
-	}
 	return e.savings(res)
 }
 

@@ -241,11 +241,15 @@ func TestJournalRecovery(t *testing.T) {
 
 // TestRecoverDoneEscalations: escalation history of jobs that finished
 // before a crash — previously dropped with the done record — floors the
-// recovered table.
+// recovered table. The shape's row was journaled when an auto submission
+// created it; nothing else was ever journaled for it.
 func TestRecoverDoneEscalations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	j, err := queue.OpenJournal(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Journal: j}).Resolve(testSpec(0)); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := testSpec(0).Concrete("half").Normalized()
@@ -318,6 +322,10 @@ func TestResolveConcreteHashContract(t *testing.T) {
 // run's step count.
 func TestSavings(t *testing.T) {
 	tn := New(Config{WarmRuns: 100}) // no probes; evidence only
+	// An auto submission names the shape: only then do its results count.
+	if _, err := tn.Resolve(testSpec(0)); err != nil {
+		t.Fatal(err)
+	}
 	full, err := testSpec(0).Concrete("full").Normalized()
 	if err != nil {
 		t.Fatal(err)

@@ -225,9 +225,17 @@ func (m *Manager) settle(c *Campaign, out outcome, ref JobRef, job *queue.Job, r
 	m.maybeFinalize(c)
 }
 
+// landed is a result payload as land decodes it: the fields the
+// aggregates fold, with the embedded trace — often the larger half of the
+// payload, and folded by nothing — left as raw bytes.
+type landed struct {
+	runner.Result
+	Trace json.RawMessage `json:"trace,omitempty"`
+}
+
 // land settles a terminal job's index on the row its end state names.
 func (m *Manager) land(c *Campaign, ref JobRef, job *queue.Job) {
-	var res runner.Result
+	var res landed
 	payload, ok := job.Result()
 	if ok {
 		ok = json.Unmarshal(payload, &res) == nil
@@ -235,7 +243,7 @@ func (m *Manager) land(c *Campaign, ref JobRef, job *queue.Job) {
 	switch {
 	case ok:
 		ref.StateHash = res.StateHash
-		m.settle(c, ioCompleted, ref, nil, &res)
+		m.settle(c, ioCompleted, ref, nil, &res.Result)
 	case m.stopping():
 		m.settle(c, ioDeferred, ref, nil, nil)
 	default:

@@ -853,10 +853,15 @@ func (co *Coordinator) crossCheck(a *Attempt, first Outcome) {
 // VerifyDemotion executes spec once and takes a second opinion on it,
 // reporting the primary result and whether the two final-state hashes were
 // bit-identical — the gate internal/serve/autotune requires before
-// committing a precision demotion; on a multi-node fleet the confirmation
-// is cross-node. ctx bounds the whole probe; a probe that finds no second
-// executor in time returns the primary result unverified (verified=false,
-// err=nil), never an error — the demotion is simply not committed.
+// committing a precision demotion. The second opinion excludes only the
+// remote worker that ran the primary: when a remote worker ran it, any
+// other backend — another worker or a local lane — may take the shadow;
+// when a local lane ran it there is no worker to exclude, so on a node
+// with local lanes the shadow may re-run on the same backend, which checks
+// run-to-run determinism rather than cross-node agreement. ctx bounds the
+// whole probe; a probe that finds no second executor in time returns the
+// primary result unverified (verified=false, err=nil), never an error —
+// the demotion is simply not committed.
 func (co *Coordinator) VerifyDemotion(ctx context.Context, spec runner.ExperimentSpec) (*runner.Result, bool, error) {
 	probe := newShadow("autotune-probe", spec, 1, "")
 	first := co.d.Do(ctx, probe)

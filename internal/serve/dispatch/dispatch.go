@@ -59,6 +59,7 @@ type Attempt struct {
 	LocalOnly bool
 	// ExcludeWorker bars one remote worker from taking the attempt — a
 	// verification attempt must not re-run on the worker it is checking.
+	// It never bars the local backend ("" excludes nothing).
 	ExcludeWorker string
 
 	// Run executes the attempt in-process (used by the local backend).

@@ -52,11 +52,11 @@ const (
 
 	// recTuned is one autotune decision-table entry: the learned state for
 	// one (app, scenario-shape) key, written by internal/serve/autotune
-	// whenever a demotion commits, reverts, or a full-precision reference
-	// is captured. The payload is opaque bytes here (autotune owns the
-	// shape). Replay keeps the latest record per key; compaction rewrites
-	// exactly those — so the learned table survives restart like the live
-	// job set does.
+	// when an auto submission creates the row and whenever a demotion
+	// commits, reverts, or a full-precision reference is captured. The
+	// payload is opaque bytes here (autotune owns the shape). Replay keeps
+	// the latest record per key; compaction rewrites exactly those — so the
+	// learned table survives restart like the live job set does.
 	recTuned = "tuned"
 
 	// Campaign records share the same journal file so one fsync stream

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -107,7 +108,11 @@ type Job struct {
 	timeout     time.Duration
 	escalations []runner.Escalation
 	result      []byte
-	errMsg      string
+	// store is set when the job reached done by executing and the cache
+	// took its payload: the job then holds neither the bytes nor any span
+	// but the trace root, and Result/Trace read the cache (DESIGN.md §7).
+	store  *cache.Cache
+	errMsg string
 	// Autotune provenance: tunedMode is the concrete mode Resolve picked
 	// for a mode:"auto" submission (with the requested budgets echoed);
 	// savedJoules/savedDollars price the completed run against the shape's
@@ -137,8 +142,23 @@ type Job struct {
 }
 
 // Trace snapshots the job's span timeline as recorded so far; spans still
-// open (a running attempt) are frozen at the snapshot instant.
-func (j *Job) Trace() obs.TraceData { return j.trace.Snapshot() }
+// open (a running attempt) are frozen at the snapshot instant. A job whose
+// payload went to the cache reports the timeline sealed into that payload.
+func (j *Job) Trace() obs.TraceData {
+	j.mu.Lock()
+	released := j.store != nil
+	j.mu.Unlock()
+	if !released {
+		return j.trace.Snapshot()
+	}
+	var res struct {
+		Trace *obs.TraceData `json:"trace"`
+	}
+	if payload, ok := j.Result(); ok && json.Unmarshal(payload, &res) == nil && res.Trace != nil {
+		return *res.Trace
+	}
+	return j.trace.Snapshot() // the entry is gone: the root is all that is left
+}
 
 // View is an immutable snapshot of a job for handlers and clients.
 type View struct {
@@ -210,11 +230,17 @@ func (j *Job) Done() <-chan struct{} {
 
 // Result returns the serialized result payload once the job is done.
 // The bytes are the exact cache payload: byte-identical for every
-// submission of the same spec.
+// submission of the same spec. For a job that executed and cached its
+// result this is a cache read (hot tier, then disk), which reports false
+// if the entry has since been lost (quarantined as corrupt, deleted).
 func (j *Job) Result() ([]byte, bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result, j.status == StatusDone
+	payload, done, store := j.result, j.status == StatusDone, j.store
+	j.mu.Unlock()
+	if store != nil {
+		payload, _, done = store.Fetch(j.SpecHash)
+	}
+	return payload, done
 }
 
 func (j *Job) progress(step, totalSteps int) {
@@ -237,14 +263,20 @@ func (j *Job) escalationsCopy() []runner.Escalation {
 	return append([]runner.Escalation(nil), j.escalations...)
 }
 
-func (j *Job) finish(st Status, result []byte, errMsg string) {
+// finish moves the job to a terminal state holding result, or — with a
+// non-nil store that already holds the result — holding only what the
+// cache cannot answer: the trace keeps its root alone.
+func (j *Job) finish(st Status, result []byte, errMsg string, store *cache.Cache) {
 	j.mu.Lock()
 	j.status = st
-	j.result = result
+	j.result, j.store = result, store
 	j.errMsg = errMsg
 	ch, closed := j.done, j.doneClosed
 	j.doneClosed = true
 	j.mu.Unlock()
+	if store != nil {
+		j.trace.Release()
+	}
 	if !closed {
 		close(ch)
 	}
@@ -365,8 +397,9 @@ type Config struct {
 	OnComplete func(job *Job, res *runner.Result)
 	// Tuner, when non-nil, is the closed-loop precision policy: mode
 	// "auto" submissions resolve through it at admission, and every
-	// executed result / escalation feeds its decision table. Nil rejects
-	// auto submissions with ErrNoTuner.
+	// executed result / escalation is offered to its decision table (which
+	// keeps those of shapes an auto submission named). Nil rejects auto
+	// submissions with ErrNoTuner.
 	Tuner AutoTuner
 }
 
@@ -737,8 +770,9 @@ func (s *Scheduler) succeed(job *Job, att obs.Span, spec runner.ExperimentSpec, 
 	res.Escalations = job.escalationsCopy()
 	s.obs.observeResultCounters(res.Counters)
 	if s.cfg.Tuner != nil {
-		// Every executed result is fleet evidence: full runs refresh the
-		// shape's fidelity reference and savings baseline, demoted runs fold
+		// An executed result of a shape some auto submission named is fleet
+		// evidence (the tuner ignores every other shape): full runs refresh
+		// its fidelity reference and savings baseline, demoted runs fold
 		// their measured fidelity in and may warm the next demotion probe.
 		s.cfg.Tuner.ObserveResult(spec, res)
 		if sj, sd, ok := s.cfg.Tuner.Savings(spec, res); ok {
@@ -1005,8 +1039,9 @@ func (s *Scheduler) SubmitOpts(spec runner.ExperimentSpec, opts SubmitOptions) (
 	job.timeout = opts.Timeout
 	job.flow = opts.Flow
 	// Journal-then-ack: the admission record must be durable before the job
-	// is visible or acknowledged (the fsync under s.mu serializes
-	// submissions; admission is not the hot path).
+	// is visible or acknowledged. The fsync under s.mu serializes
+	// submissions, and that is on a hot path: the campaign pump admits
+	// every campaign job through here, one fsync each.
 	err = s.emit(job, evAdmitted, detail{attrs: []obs.Attr{
 		obs.Str("spec_hash", hash), obs.Str("app", string(n.App)), obs.Str("mode", n.Mode)}})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/serve/cache"
 )
 
 // event names one row of the table.
@@ -95,9 +96,11 @@ type detail struct {
 // emit raises one table row for job: it appends the row's journal record,
 // counts it, records its trace event and log line, and moves the job to the
 // row's next state with the bookkeeping that state implies (waiting count,
-// dedup map, checkpoint, Job.finish). A non-nil return means the transition
-// did not happen: a durable row's record could not be appended, or an
-// executed result would not serialize — the job has then failed instead.
+// dedup map, checkpoint, Job.finish — which, once the cache holds an
+// executed result, keeps neither its bytes nor its spans). A non-nil
+// return means the transition did not happen: a durable row's record could
+// not be appended, or an executed result would not serialize — the job has
+// then failed instead.
 //
 // Locking: rows that enqueue (next == StatusQueued) are raised with s.mu
 // held, because admission is atomic with the dedup map; placed and terminal
@@ -120,6 +123,7 @@ func (s *Scheduler) emit(job *Job, ev event, d detail) error {
 		job.trace.Root().Event(row.span, attrs...)
 	}
 	payload := d.payload
+	var store *cache.Cache // holds the executed payload: the job keeps neither it nor its spans
 	if terminal {
 		// The timeline closes before the result embeds it, and the payload is
 		// cached before the terminal record lands: a crash between the two is
@@ -141,10 +145,10 @@ func (s *Scheduler) emit(job *Job, ev event, d detail) error {
 				s.emit(job, evFailed, detail{err: err.Error()})
 				return err
 			}
-			if s.cfg.Cache != nil {
-				// A put failure only costs a future recompute (the cache's
-				// error counter records it).
-				_ = s.cfg.Cache.Put(job.SpecHash, payload)
+			// A put failure only costs a future recompute (the cache's error
+			// counter records it) — and the job keeps its payload.
+			if s.cfg.Cache != nil && s.cfg.Cache.Put(job.SpecHash, payload) == nil {
+				payload, store = nil, s.cfg.Cache
 			}
 		}
 		_ = s.record(job, row.record, d)
@@ -182,7 +186,7 @@ func (s *Scheduler) emit(job *Job, ev event, d detail) error {
 			delete(s.inflight, job.SpecHash)
 		}
 		s.mu.Unlock()
-		job.finish(row.next, payload, d.err)
+		job.finish(row.next, payload, d.err, store)
 	}
 	return nil
 }

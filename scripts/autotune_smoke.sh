@@ -3,8 +3,11 @@
 #
 # Phase A — full-mode reference: four full-precision jobs of one scenario
 # shape (distinct step counts) on a 2-worker fleet. Their state hashes are
-# the bit-exact reference, and — because every executed result feeds the
-# autotuner — they also warm the decision table's full-mode evidence.
+# the bit-exact reference. The first is submitted as auto: on a cold table
+# it resolves to full (same spec hash, same state hash), and it names the
+# shape for the autotuner, which tunes only shapes an auto submission
+# requested — so every reference run, auto or concrete, warms the decision
+# table's full-mode evidence.
 #
 # Phase B — learned demotion: auto-mode submissions of the same shape must
 # walk the ladder down one shadow-verified rung at a time
@@ -74,7 +77,8 @@ worker1_pid=$(start_worker "$work/worker1.log" -name tune-a -slots 2 -arch Haswe
 worker2_pid=$(start_worker "$work/worker2.log" -name tune-b -slots 2 -arch Haswell)
 
 for steps in 40 50 60 70; do
-    submit "$work/ref_$steps.out" full "$steps"
+    mode=full; [ "$steps" = 40 ] && mode=auto
+    submit "$work/ref_$steps.out" "$mode" "$steps"
     grep -q 'cached=false' "$work/ref_$steps.out" \
         || { cat "$work/ref_$steps.out"; fail "reference steps=$steps did not execute"; }
 done

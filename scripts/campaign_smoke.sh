@@ -17,7 +17,8 @@
 #
 # Phase C — warm resubmit: the identical campaign re-submitted to the
 # surviving coordinator must complete with every job deduped from cache
-# and the same digest.
+# and the same digest. Concrete campaigns leave the autotuner empty: no
+# rows, no probe runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -140,5 +141,13 @@ warm_digest=$(sed -n 's/^result_digest=//p' "$work/warm.out")
 dedup_metric=$(fetch "http://$camp_addr/metrics" | sed -n 's/^precisiond_campaign_jobs_total{outcome="deduped"} //p')
 [ -n "$dedup_metric" ] && [ "$dedup_metric" -ge 18 ] \
     || fail "campaign dedup metric = ${dedup_metric:-absent}, want >= 18"
+
+# Concrete campaigns tune nothing: no auto submission named a shape, so the
+# autotuner has no row and spent no probe run.
+table=$(fetch "http://$camp_addr/v1/autotune")
+case "$table" in *'"key"'*) fail "concrete campaign created autotune rows: $table";; esac
+probes=$(fetch "http://$camp_addr/metrics" \
+    | awk '/^precisiond_autotune_total\{decision="probe_/ {n += $2} END {print n + 0}')
+[ "$probes" -eq 0 ] || fail "concrete campaign ran $probes autotune probes"
 
 echo "campaign-smoke OK (18 jobs; digest $ref_digest; warm dedup metric $dedup_metric)"

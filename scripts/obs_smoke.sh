@@ -31,7 +31,9 @@ grep -q 'attempt.*outcome=ok' "$work/first.out" || { echo "FAIL: -trace printed 
 "$work/precision-client" -addr "http://$addr" -spec "$work/spec.json" >/dev/null
 
 # /metrics: valid exposition with non-zero run-duration histogram and cache
-# counters after the sweep.
+# counters after the sweep. Three hits: the executed job keeps its result
+# and trace only in the cache, so the first client's result and -trace reads
+# are cache reads; the resubmission's admission probe is the third.
 fetch "http://$addr/metrics" >"$work/metrics.txt"
 grep -q '^# TYPE precisiond_run_duration_seconds histogram$' "$work/metrics.txt" \
     || { echo "FAIL: run-duration family missing" >&2; cat "$work/metrics.txt" >&2; exit 1; }
@@ -39,7 +41,7 @@ grep -q '^precisiond_run_duration_seconds_count{app="clamr",mode="full"} 1$' "$w
     || { echo "FAIL: run-duration histogram empty" >&2; cat "$work/metrics.txt" >&2; exit 1; }
 grep -q '^precisiond_cache_events_total{event="put"} 1$' "$work/metrics.txt" \
     || { echo "FAIL: cache put counter missing" >&2; cat "$work/metrics.txt" >&2; exit 1; }
-grep -q '^precisiond_cache_events_total{event="hit"} 1$' "$work/metrics.txt" \
+grep -q '^precisiond_cache_events_total{event="hit"} 3$' "$work/metrics.txt" \
     || { echo "FAIL: cache hit counter missing" >&2; cat "$work/metrics.txt" >&2; exit 1; }
 grep -Eq '^precisiond_run_flops_total\{width="64"\} [1-9]' "$work/metrics.txt" \
     || { echo "FAIL: flops counter not populated" >&2; cat "$work/metrics.txt" >&2; exit 1; }

@@ -245,11 +245,11 @@ func BenchmarkAblationAMR(b *testing.B) {
 			}
 			var orders float64
 			for i := 0; i < b.N; i++ {
-				full, err := core.RunCLAMR(precision.Full, cfg, 40, 64)
+				full, err := core.RunCLAMROpts(precision.Full, cfg, 40, 64, core.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				min, err := core.RunCLAMR(precision.Min, cfg, 40, 64)
+				min, err := core.RunCLAMROpts(precision.Min, cfg, 40, 64, core.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -504,7 +504,7 @@ func (s *Session) Fig1() (Output, error) {
 	// 2-D context for the cut: the full-precision wave field (re-run; the
 	// memoized study result does not retain the mesh).
 	cfgFig, stepsFig := s.CLAMRFigConfig()
-	if runner, err := NewDamBreak(Full, cfgFig); err == nil {
+	if runner, err := core.NewDamBreak(Full, cfgFig); err == nil {
 		if err := runner.Run(stepsFig); err == nil {
 			const raster = 96
 			if field, err := runner.Mesh().Rasterize(runner.HeightF64(), raster, raster); err == nil {
@@ -565,13 +565,11 @@ func (s *Session) Fig3() (Output, error) {
 	cfgHi := cfgLo
 	cfgHi.NX *= 2
 	cfgHi.NY *= 2
-	ic := clamr.DamBreak(cfgHi.Bounds, 10, 2, 0.15, 0.05)
 	loTime, err := s.simTimeOf(cfgLo, steps)
 	if err != nil {
 		return Output{}, err
 	}
-	hi, err := NewDamBreak(Min, cfgHi)
-	_ = ic
+	hi, err := core.NewDamBreak(Min, cfgHi)
 	if err != nil {
 		return Output{}, err
 	}
@@ -612,7 +610,7 @@ func (s *Session) Fig3() (Output, error) {
 // simTimeOf runs a throwaway full-precision simulation to learn the
 // simulation time reached after the given number of steps.
 func (s *Session) simTimeOf(cfg clamr.Config, steps int) (float64, error) {
-	r, err := NewDamBreak(Full, cfg)
+	r, err := core.NewDamBreak(Full, cfg)
 	if err != nil {
 		return 0, err
 	}

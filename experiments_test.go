@@ -7,7 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/clamr"
-	"repro/internal/self"
+	"repro/internal/core"
 )
 
 func TestParseScale(t *testing.T) {
@@ -27,42 +27,12 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
-func TestParseModeFacade(t *testing.T) {
-	m, err := ParseMode("mixed")
-	if err != nil || m != Mixed {
-		t.Errorf("ParseMode: %v, %v", m, err)
-	}
-	if len(Modes) != 3 || len(AllModes) != 4 {
-		t.Error("mode lists wrong")
-	}
-}
-
 func TestFacadeConstructors(t *testing.T) {
-	dam, err := NewDamBreak(Min, CLAMRConfig{NX: 16, NY: 16, MaxLevel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dam.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if dam.StepCount() != 5 {
-		t.Error("dam break did not advance")
-	}
-	bubble, err := NewThermalBubble(Full, SELFConfig{Elements: 2, Order: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bubble.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	if bubble.Time() <= 0 {
-		t.Error("bubble did not advance")
+	if len(Modes) != 3 {
+		t.Error("mode list wrong")
 	}
 	if len(CLAMRPlatforms) != 5 || len(SELFPlatforms) != 6 {
 		t.Error("platform lists wrong")
-	}
-	if RecommendMode(12, true, 2, false) != Full {
-		t.Error("RecommendMode facade broken")
 	}
 }
 
@@ -242,18 +212,8 @@ func TestTable4GNUInversionInOutput(t *testing.T) {
 	}
 }
 
-func TestKernelConstantsExported(t *testing.T) {
-	if KernelUnvectorized != clamr.KernelCell || KernelVectorized != clamr.KernelFace {
-		t.Error("kernel facade constants wrong")
-	}
-	if _, err := NewThermalBubble(Half, SELFConfig{Elements: 2, Order: 2}); err == nil {
-		t.Error("SELF half mode accepted through facade")
-	}
-	_ = self.MathNative // facade leaves math mode on the internal config
-}
-
 func TestFieldDumpThroughRunner(t *testing.T) {
-	dam, err := NewDamBreak(Min, CLAMRConfig{NX: 16, NY: 16, MaxLevel: 1})
+	dam, err := core.NewDamBreak(Min, clamr.Config{NX: 16, NY: 16, MaxLevel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,7 @@
 // tables and figures of the evaluation section.
 //
 // This is the "thoughtful precision" layer: the mini-apps know how to run
-// at a precision; this package knows how to *compare* precisions and how
-// to pick one (the §VIII heuristics).
+// at a precision; this package knows how to *compare* precisions.
 package core
 
 import (
@@ -45,19 +44,12 @@ type CLAMRResult struct {
 	Phases []metrics.PhaseTotal
 }
 
-// RunCLAMR executes the dam-break problem at one precision mode and
-// collects the paper's measurables. lineCutN > 0 samples the height along
-// the horizontal center line at that resolution.
-func RunCLAMR(mode precision.Mode, cfg clamr.Config, steps, lineCutN int) (CLAMRResult, error) {
-	return RunCLAMROpts(mode, cfg, steps, lineCutN, RunOptions{})
-}
-
-// RunOptions extends the study runners with the execution controls the
+// RunOptions gives the study runners the execution controls the
 // experiment service needs: cancellation, per-step progress, checkpoint
 // restart, checkpoint capture, periodic in-flight checkpoints and the
-// numerical-guard cadence. The zero value reproduces the plain
-// Run{CLAMR,SELF} measurables exactly (guards only ever abort diverging
-// runs; they never perturb counters or state).
+// numerical-guard cadence. The zero value is a plain run from the initial
+// condition (guards only ever abort diverging runs; they never perturb
+// counters or state).
 type RunOptions struct {
 	// Ctx cancels the run between steps; nil means context.Background().
 	// A cancelled run returns an error wrapping ctx.Err().
@@ -162,18 +154,26 @@ func writePeriodicCheckpoint(opts RunOptions, r stepper, step int) {
 	w.Close()
 }
 
-// RunCLAMROpts is RunCLAMR with execution options.
-func RunCLAMROpts(mode precision.Mode, cfg clamr.Config, steps, lineCutN int, opts RunOptions) (CLAMRResult, error) {
+// NewDamBreak builds a CLAMR runner on the paper's cylindrical dam-break
+// problem at the given precision. A zero cfg.Bounds selects the unit square.
+func NewDamBreak(mode precision.Mode, cfg clamr.Config) (clamr.Runner, error) {
 	if cfg.Bounds == (mesh.Bounds{}) {
 		cfg.Bounds = mesh.UnitBounds
 	}
+	b := cfg.Bounds
+	return clamr.New(mode, cfg, clamr.DamBreak(b, 10, 2, 0.15*b.Width(), 0.05*b.Width()))
+}
+
+// RunCLAMROpts executes the dam-break problem at one precision mode and
+// collects the paper's measurables. lineCutN > 0 samples the height along
+// the horizontal center line at that resolution.
+func RunCLAMROpts(mode precision.Mode, cfg clamr.Config, steps, lineCutN int, opts RunOptions) (CLAMRResult, error) {
 	var r clamr.Runner
 	var err error
 	if opts.Resume != nil {
 		r, err = clamr.Load(mode, cfg, opts.Resume)
 	} else {
-		ic := clamr.DamBreak(cfg.Bounds, 10, 2, 0.15*cfg.Bounds.Width(), 0.05*cfg.Bounds.Width())
-		r, err = clamr.New(mode, cfg, ic)
+		r, err = NewDamBreak(mode, cfg)
 	}
 	if err != nil {
 		return CLAMRResult{}, err
@@ -277,12 +277,7 @@ type SELFResult struct {
 	Phases []metrics.PhaseTotal
 }
 
-// RunSELF executes the thermal-bubble problem at one precision mode.
-func RunSELF(mode precision.Mode, cfg self.Config, steps, lineCutN int) (SELFResult, error) {
-	return RunSELFOpts(mode, cfg, steps, lineCutN, RunOptions{})
-}
-
-// RunSELFOpts is RunSELF with execution options.
+// RunSELFOpts executes the thermal-bubble problem at one precision mode.
 func RunSELFOpts(mode precision.Mode, cfg self.Config, steps, lineCutN int, opts RunOptions) (SELFResult, error) {
 	var r self.Runner
 	var err error
@@ -339,63 +334,6 @@ func (r SELFResult) Workload() arch.Workload {
 		Vectorized: true,
 		SerialOps:  uint64(r.DOF) / 16, // light bookkeeping per node
 		StateBytes: r.StateBytes,
-	}
-}
-
-// Fidelity summarises the paper's correctness assessment between a
-// reduced-precision line cut and the full-precision reference.
-type Fidelity struct {
-	// OrdersBelow: log10(solution scale / max difference) — Figs 1 and 4.
-	OrdersBelow float64
-	// AsymmetryOrders: log10(solution scale / max asymmetry) — Figs 2/5.
-	AsymmetryOrders float64
-	// AsymmetryBias is the mean of the asymmetry series (Fig 5's "mostly
-	// positive" single-precision signature shows as nonzero bias).
-	AsymmetryBias float64
-}
-
-// AssessFidelity computes the figure-level diagnostics for a cut against
-// the reference.
-func AssessFidelity(cut, reference analysis.Series) Fidelity {
-	diff := analysis.Diff(reference, cut)
-	asym := analysis.Asymmetry(cut)
-	return Fidelity{
-		OrdersBelow:     analysis.OrdersBelow(diff, reference),
-		AsymmetryOrders: analysis.OrdersBelow(asym, cut),
-		AsymmetryBias:   asym.Bias(),
-	}
-}
-
-// Acceptable applies the paper's acceptance bar: differences at least
-// `orders` orders of magnitude below the solution.
-func (f Fidelity) Acceptable(orders float64) bool {
-	return f.OrdersBelow >= orders
-}
-
-// RecommendMode is the paper's §VIII "derivation of heuristics for
-// precision choice", distilled to the decision rules its results support:
-//
-//   - If the required agreement with double precision exceeds ~7 digits,
-//     only Full delivers (single carries ~7 significant digits).
-//   - Otherwise, if the calculation is memory-bandwidth-bound (the paper's
-//     conclusion for both mini-apps), reduced storage pays: Mixed when
-//     sensitive local arithmetic needs double guarding, else Min.
-//   - On hardware with a punitive DP:SP ratio (≥ 8:1, e.g. TITAN X-class),
-//     compute-bound work should also drop to Min.
-//   - Half is recommended only for error-tolerant, bandwidth-dominated
-//     kernels needing fewer than 3 digits.
-func RecommendMode(requiredDigits float64, memoryBound bool, dpToSPRatio float64, sensitiveLocals bool) precision.Mode {
-	switch {
-	case requiredDigits > 7:
-		return precision.Full
-	case requiredDigits < 3 && memoryBound && !sensitiveLocals:
-		return precision.Half
-	case sensitiveLocals:
-		return precision.Mixed
-	case memoryBound || dpToSPRatio >= 8:
-		return precision.Min
-	default:
-		return precision.Mixed
 	}
 }
 

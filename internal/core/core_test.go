@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/clamr"
 	"repro/internal/precision"
 	"repro/internal/self"
@@ -16,7 +17,7 @@ func clamrCfg() clamr.Config {
 }
 
 func TestRunCLAMRCollectsEverything(t *testing.T) {
-	res, err := RunCLAMR(precision.Min, clamrCfg(), 30, 48)
+	res, err := RunCLAMROpts(precision.Min, clamrCfg(), 30, 48, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,24 +49,17 @@ func TestRunCLAMRCollectsEverything(t *testing.T) {
 }
 
 func TestRunCLAMRPrecisionComparison(t *testing.T) {
-	full, err := RunCLAMR(precision.Full, clamrCfg(), 40, 64)
+	full, err := RunCLAMROpts(precision.Full, clamrCfg(), 40, 64, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, err := RunCLAMR(precision.Min, clamrCfg(), 40, 64)
+	min, err := RunCLAMROpts(precision.Min, clamrCfg(), 40, 64, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fid := AssessFidelity(min.LineCut, full.LineCut)
 	// Paper Fig 1: ≥5 orders of magnitude separation.
-	if fid.OrdersBelow < 4.5 {
-		t.Errorf("min precision only %.1f orders below solution", fid.OrdersBelow)
-	}
-	if !fid.Acceptable(4) {
-		t.Error("fidelity not acceptable at 4 orders")
-	}
-	if fid.Acceptable(math.Inf(1)) {
-		t.Error("fidelity acceptable at infinite orders")
+	if orders := analysis.OrdersBelow(analysis.Diff(full.LineCut, min.LineCut), full.LineCut); orders < 4.5 {
+		t.Errorf("min precision only %.1f orders below solution", orders)
 	}
 	// Memory: min below full.
 	if min.StateBytes >= full.StateBytes {
@@ -78,7 +72,7 @@ func TestRunCLAMRPrecisionComparison(t *testing.T) {
 
 func TestRunSELFCollectsEverything(t *testing.T) {
 	cfg := self.Config{Elements: 3, Order: 3}
-	res, err := RunSELF(precision.Min, cfg, 10, 32)
+	res, err := RunSELFOpts(precision.Min, cfg, 10, 32, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,38 +89,14 @@ func TestRunSELFCollectsEverything(t *testing.T) {
 }
 
 func TestRunErrorsPropagate(t *testing.T) {
-	if _, err := RunCLAMR(precision.Full, clamr.Config{NX: -1}, 1, 0); err == nil {
+	if _, err := RunCLAMROpts(precision.Full, clamr.Config{NX: -1}, 1, 0, RunOptions{}); err == nil {
 		t.Error("bad CLAMR config accepted")
 	}
-	if _, err := RunSELF(precision.Full, self.Config{Elements: 0, Order: 3}, 1, 0); err == nil {
+	if _, err := RunSELFOpts(precision.Full, self.Config{Elements: 0, Order: 3}, 1, 0, RunOptions{}); err == nil {
 		t.Error("bad SELF config accepted")
 	}
-	if _, err := RunSELF(precision.Half, self.Config{Elements: 2, Order: 2}, 1, 0); err == nil {
+	if _, err := RunSELFOpts(precision.Half, self.Config{Elements: 2, Order: 2}, 1, 0, RunOptions{}); err == nil {
 		t.Error("SELF half mode accepted")
-	}
-}
-
-func TestRecommendMode(t *testing.T) {
-	cases := []struct {
-		digits    float64
-		memBound  bool
-		dpRatio   float64
-		sensitive bool
-		want      precision.Mode
-	}{
-		{12, true, 2, false, precision.Full},  // needs more than f32 carries
-		{6, true, 2, false, precision.Min},    // bandwidth-bound, tolerant
-		{6, false, 32, false, precision.Min},  // TITAN-X-class DP penalty
-		{6, true, 2, true, precision.Mixed},   // sensitive locals guarded
-		{6, false, 2, false, precision.Mixed}, // default: keep guard rails
-		{2, true, 2, false, precision.Half},   // error-tolerant streaming
-		{2, true, 2, true, precision.Mixed},   // sensitivity vetoes half
-	}
-	for i, c := range cases {
-		got := RecommendMode(c.digits, c.memBound, c.dpRatio, c.sensitive)
-		if got != c.want {
-			t.Errorf("case %d: RecommendMode = %v, want %v", i, got, c.want)
-		}
 	}
 }
 

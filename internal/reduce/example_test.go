@@ -8,7 +8,7 @@ import (
 
 // The paper's §III.C scenario: an ill-conditioned global sum loses half its
 // digits under naive summation and recovers them under the reproducible
-// methods, which are also bit-stable under permutation and parallelism.
+// methods, which are also bit-stable under permutation.
 func ExampleSumReproducible() {
 	// 1e17 + 1 − 1e17 + 1: naive left-to-right absorbs the first 1
 	// (ulp(1e17) = 16), the reproducible pre-rounding sum does not.
@@ -27,17 +27,6 @@ func ExampleLongAccumulator() {
 	acc.Add(-1e100)
 	fmt.Println(acc.Round()) // exact: the 1 survives a 10^100 cancellation
 	// Output: 1
-}
-
-func ExampleParallelSum() {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = 0.1
-	}
-	a := reduce.ParallelSum(xs, 4, reduce.LongAcc)
-	b := reduce.ParallelSum(xs, 7, reduce.LongAcc)
-	fmt.Println(a == b) // bit-identical at any worker count
-	// Output: true
 }
 
 func ExampleDotDD() {

@@ -310,38 +310,6 @@ func TestLongAccPermutationInvariance(t *testing.T) {
 	}
 }
 
-func TestParallelWorkerInvariance(t *testing.T) {
-	xs, _ := IllConditioned(10000, 1e10, 23)
-	for _, m := range []Method{Reproducible, LongAcc} {
-		ref := ParallelSum(xs, 1, m)
-		for _, workers := range []int{2, 3, 4, 7, 16, 61} {
-			if got := ParallelSum(xs, workers, m); got != ref {
-				t.Errorf("%v: %d workers changed the result: %x vs %x", m, workers, got, ref)
-			}
-		}
-	}
-}
-
-func TestParallelMatchesSerialQuality(t *testing.T) {
-	xs := randSlice(50000, 29, 1)
-	want := bigSum(xs)
-	for _, m := range Methods {
-		got := ParallelSum(xs, 8, m)
-		rel := math.Abs(got-want) / math.Abs(want)
-		if rel > 1e-9 {
-			t.Errorf("%v parallel: rel error %g", m, rel)
-		}
-	}
-	// Degenerate worker counts.
-	if ParallelSum(xs, 0, Kahan) == 0 {
-		t.Error("ParallelSum with auto workers returned zero")
-	}
-	small := []float64{1, 2, 3}
-	if got := ParallelSum(small, 64, Naive); got != 6 {
-		t.Errorf("ParallelSum tiny input = %g", got)
-	}
-}
-
 func TestIllConditionedRecoversDigits(t *testing.T) {
 	// Reproduces the paper's §III.C claim: naive global sums carry ~7
 	// digits on ill-conditioned data while reproducible/exact methods
@@ -448,18 +416,6 @@ func BenchmarkSumMethods(b *testing.B) {
 				sink = Sum(xs, m)
 			}
 			_ = sink
-		})
-	}
-}
-
-func BenchmarkParallelLongAcc(b *testing.B) {
-	xs := randSlice(1<<18, 2, 1)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(map[int]string{1: "w1", 4: "w4", 8: "w8"}[workers], func(b *testing.B) {
-			b.SetBytes(int64(len(xs) * 8))
-			for i := 0; i < b.N; i++ {
-				ParallelSum(xs, workers, LongAcc)
-			}
 		})
 	}
 }

@@ -23,7 +23,7 @@ func TestRunMatchesCoreStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunCLAMR(precision.Full, cfg, spec.Steps, spec.LineCutN)
+	want, err := core.RunCLAMROpts(precision.Full, cfg, spec.Steps, spec.LineCutN, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

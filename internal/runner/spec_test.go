@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/clamr"
 	"repro/internal/precision"
 )
 
@@ -235,7 +236,7 @@ func TestSweepSpecsCoverThePaperSweep(t *testing.T) {
 
 func TestSpecRoundTripThroughConfigs(t *testing.T) {
 	s := repro.NewSession(repro.QuickScale)
-	cfg, steps := s.CLAMRPerfConfig(repro.KernelVectorized)
+	cfg, steps := s.CLAMRPerfConfig(clamr.KernelFace)
 	spec := CLAMRSpec(precision.Mixed, cfg, steps, s.LineCutN())
 	back, err := spec.CLAMRConfig(0)
 	if err != nil {

@@ -6,8 +6,9 @@
 // The service has always learned upward — the runner's guards escalate
 // half→min→mixed→full on numerical failure — but nothing ever demoted a
 // workload back down once the fleet had evidence it was safe. This package
-// is internal/tuner's greedy-demotion search recast as an online policy:
-// a shape gets a row when an auto submission first names it, starts at
+// is a greedy, one-rung-at-a-time demotion search (Precimonious-style, the
+// tool family of the paper's §III.B) run as an online policy: a shape gets
+// a row when an auto submission first names it, starts at
 // full, and after a warm streak of clean results probes one rung down the
 // ladder. A probe only commits if a shadow run on a second executor
 // reproduces it bit-identically (the -verify-n machinery) and its measured

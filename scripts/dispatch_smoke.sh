@@ -34,7 +34,10 @@ extract_pairs "$work/ref.json" >"$work/ref.pairs"
 echo "== phase B: fleet-only coordinator + 2 workers"
 start_daemon "$work/fleet.log" -workers 0 -cache "$work/fleet-cache" \
     -journal "$work/fleet.journal" -lease-ttl 2s
-worker1_pid=$(start_worker "$work/worker1.log" -name victim)
+# The victim pads each lease to 20x its solve time after the solve
+# (results stay bit-identical), so a lease seen active is still held when
+# the SIGKILL below lands instead of completing in between.
+worker1_pid=$(start_worker "$work/worker1.log" -name victim -faults 'worker.slow=x:20')
 worker2_pid=$(start_worker "$work/worker2.log" -name survivor)
 
 "$work/precision-client" -addr "http://$addr" -sweep quick -retry 30 -json >"$work/fleet.json" 2>"$work/fleet.err" &

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -187,21 +188,10 @@ func fetchCampaign(addr, id string, retries int, jobs bool) (campaign.View, erro
 		url += "?jobs=1"
 	}
 	var v campaign.View
-	err := withRetry(retries, func() (bool, error) {
-		resp, err := http.Get(url)
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return true, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode >= 500, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-		}
-		return false, json.Unmarshal(data, &v)
-	})
+	data, err := getOK(url, retries)
+	if err == nil {
+		err = json.Unmarshal(data, &v)
+	}
 	return v, err
 }
 
@@ -243,7 +233,7 @@ func runGrid(addr, path string, retries int, raw bool) {
 		if v.cached {
 			cached++
 		}
-		payload, _, err := fetchResult(addr, v.id, retries, nil, "")
+		payload, err := gridResult(addr, v, retries)
 		if err != nil {
 			failed++
 			fmt.Printf("%s  index=%d  FAILED: %v\n", v.id, v.index, err)
@@ -271,6 +261,17 @@ func runGrid(addr, path string, retries int, raw bool) {
 	if failed > 0 {
 		log.Fatalf("%d of %d grid jobs failed", failed, len(views))
 	}
+}
+
+// gridResult reads one grid index's result by job ID or, once the daemon no
+// longer holds the job — a grid larger than its window of recent finished
+// jobs, or a restart — by the content address the job was submitted under.
+func gridResult(addr string, v viewAt, retries int) ([]byte, error) {
+	payload, _, err := fetchResult(addr, v.id, retries, nil, "")
+	if errors.Is(err, errNotFound) {
+		return getOK(addr+"/v1/results/"+v.specHash, retries)
+	}
+	return payload, err
 }
 
 // viewAt pairs a submitted job view with its generator index.

@@ -284,28 +284,42 @@ func submit(addr string, spec runner.ExperimentSpec, retries int) (queue.View, e
 // the autotuner's savings figures, which the submit-time view cannot.
 func fetchView(addr, id string, retries int) (queue.View, error) {
 	var v queue.View
-	err := withRetry(retries, func() (bool, error) {
-		resp, err := http.Get(addr + "/v1/jobs/" + id)
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return true, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode >= 500, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-		}
-		return false, json.Unmarshal(data, &v)
-	})
+	data, err := getOK(addr+"/v1/jobs/"+id, retries)
+	if err == nil {
+		err = json.Unmarshal(data, &v)
+	}
 	return v, err
 }
 
 func fetchTrace(addr, id string, retries int) (obs.TraceData, error) {
 	var td obs.TraceData
+	data, err := getOK(addr+"/v1/jobs/"+id+"/trace", retries)
+	if err == nil {
+		err = json.Unmarshal(data, &td)
+	}
+	return td, err
+}
+
+// errNotFound marks a 404: the daemon holds no such job — never issued,
+// from before a restart, or finished and since forgotten — or no result
+// under that spec hash.
+var errNotFound = errors.New("not found")
+
+// statusErr turns a non-2xx response into an error, wrapping errNotFound
+// for a 404.
+func statusErr(code int, body []byte) error {
+	if code == http.StatusNotFound {
+		return fmt.Errorf("status %d: %w: %s", code, errNotFound, bytes.TrimSpace(body))
+	}
+	return fmt.Errorf("status %d: %s", code, bytes.TrimSpace(body))
+}
+
+// getOK GETs url and returns the body of a 200. Connection errors and 5xx
+// are retried under withRetry; any other status is final.
+func getOK(url string, retries int) ([]byte, error) {
+	var body []byte
 	err := withRetry(retries, func() (bool, error) {
-		resp, err := http.Get(addr + "/v1/jobs/" + id + "/trace")
+		resp, err := http.Get(url)
 		if err != nil {
 			return true, err
 		}
@@ -315,11 +329,12 @@ func fetchTrace(addr, id string, retries int) (obs.TraceData, error) {
 			return true, err
 		}
 		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode >= 500, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+			return resp.StatusCode >= 500, statusErr(resp.StatusCode, data)
 		}
-		return false, json.Unmarshal(data, &td)
+		body = data
+		return false, nil
 	})
-	return td, err
+	return body, err
 }
 
 // printTrace renders a span timeline as an indented tree, one line per
@@ -393,7 +408,7 @@ func fetchResult(addr, id string, retries int, rc *replayCache, specHash string)
 			return false, nil
 		}
 		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode >= 500, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+			return resp.StatusCode >= 500, statusErr(resp.StatusCode, data)
 		}
 		payload = data
 		if rc != nil && specHash != "" {

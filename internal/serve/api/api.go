@@ -2,7 +2,7 @@
 // scheduler and result cache.
 //
 //	POST /v1/jobs              submit an ExperimentSpec; returns the job view
-//	GET  /v1/jobs              list admitted jobs
+//	GET  /v1/jobs              list the jobs the scheduler holds
 //	GET  /v1/jobs/{id}         job view (status, progress, cached flag)
 //	GET  /v1/jobs/{id}/result  block until terminal; raw result payload
 //	GET  /v1/jobs/{id}/stream  NDJSON progress: one view per change, then done
@@ -337,9 +337,19 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*queue.Job, bool) 
 	id := r.PathValue("id")
 	job, ok := s.sched.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		unknownJob(w, id)
 	}
 	return job, ok
+}
+
+// unknownJob answers 404 for a job ID the scheduler does not know. Never
+// issued, issued before a restart and finished outside the window of recent
+// finished jobs (queue.FinishedWindow) all answer alike; for the last two
+// the result outlives the ID at its content address.
+func unknownJob(w http.ResponseWriter, id string) {
+	writeError(w, http.StatusNotFound,
+		"unknown job %q: a finished job is forgotten at restart or once %d newer ones finish; read its result by content address, GET /v1/results/{spec_hash}",
+		id, queue.FinishedWindow)
 }
 
 func (s *Server) jobView(w http.ResponseWriter, r *http.Request) {
@@ -361,7 +371,7 @@ func (s *Server) jobRelease(w http.ResponseWriter, r *http.Request) {
 		job, _ := s.sched.Job(id)
 		writeJSON(w, http.StatusAccepted, job.Snapshot())
 	case errors.Is(err, queue.ErrUnknownJob):
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		unknownJob(w, id)
 	case errors.Is(err, queue.ErrNotPoisoned):
 		writeError(w, http.StatusConflict, "job %q is not poisoned", id)
 	default:

@@ -279,6 +279,48 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestForgottenJobAnswersWithContentAddress: once FinishedWindow newer jobs
+// have finished, a job's ID answers 404 on every job-scoped endpoint, with
+// a body that points at the content address — where the result still is.
+func TestForgottenJobAnswersWithContentAddress(t *testing.T) {
+	srv, sched, _ := newTestServer(t, queue.Config{Workers: 1})
+	spec := clamrSpec(2, "full")
+	v, _ := submit(t, srv, spec)
+	payload := fetchResult(t, srv, v.ID)
+	for i := 0; i < queue.FinishedWindow; i++ {
+		if _, err := sched.Submit(spec); err != nil { // cache hits, born done
+			t.Fatal(err)
+		}
+	}
+
+	for _, req := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/jobs/" + v.ID},
+		{http.MethodGet, "/v1/jobs/" + v.ID + "/result"},
+		{http.MethodGet, "/v1/jobs/" + v.ID + "/trace"},
+		{http.MethodGet, "/v1/jobs/" + v.ID + "/stream"},
+		{http.MethodDelete, "/v1/jobs/" + v.ID},
+	} {
+		r, err := http.NewRequest(req.method, srv.URL+req.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "GET /v1/results/{spec_hash}") {
+			t.Errorf("%s %s = %d %s, want 404 pointing at the content address", req.method, req.path, resp.StatusCode, body)
+		}
+	}
+
+	resp, body := get(t, srv.URL+"/v1/results/"+v.SpecHash, "")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+		t.Errorf("GET /v1/results/%s = %d, want 200 with the job's payload", v.SpecHash, resp.StatusCode)
+	}
+}
+
 // TestHealthzDegradesOnJournalFault: a daemon whose journal cannot fsync
 // must refuse new admissions (503) and report degraded on /healthz — and
 // recover both once the fault clears.

@@ -29,7 +29,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,8 +60,19 @@ const (
 // ErrQueueFull rejects submissions beyond the queue bound.
 var ErrQueueFull = errors.New("queue: job queue is full")
 
-// ErrUnknownJob reports a job ID the scheduler has never seen.
+// ErrUnknownJob reports a job ID the scheduler does not know: never issued,
+// issued before a restart, or finished and since forgotten (FinishedWindow).
 var ErrUnknownJob = errors.New("queue: unknown job")
+
+// FinishedWindow is how many finished (done or failed) jobs the scheduler
+// remembers. Once a newer job finishes past it, the oldest finished job is
+// forgotten: its ID answers ErrUnknownJob, exactly as an ID from before a
+// restart does, and its result stays readable by spec hash from the cache —
+// the content address, not the job ID, is the durable handle to a result.
+// Queued, running and poisoned jobs are never forgotten. A traced benchmark
+// run reads the traces of 500 recent jobs by ID, so the window must not
+// shrink below that.
+const FinishedWindow = 4096
 
 // ErrNotPoisoned rejects a RetryPoisoned release of a job that is not
 // parked as poisoned.
@@ -448,12 +461,16 @@ type Scheduler struct {
 	startOnce sync.Once
 	runCtx    context.Context
 
-	mu       sync.Mutex
-	jobs     map[string]*Job // by job ID
-	order    []string        // job IDs in admission order
-	inflight map[string]*Job // spec hash → queued-or-running job
-	nextID   uint64
-	waiting  int // admitted jobs not yet placed on a backend (the queue depth)
+	mu sync.Mutex
+	// jobs holds every unfinished job and the newest FinishedWindow finished
+	// ones, by job ID; finished is the ring of those finished jobs, oldest
+	// at finishedNext once it is full.
+	jobs         map[string]*Job
+	finished     []*Job
+	finishedNext int
+	inflight     map[string]*Job // spec hash → queued-or-running job
+	nextID       uint64
+	waiting      int // admitted jobs not yet placed on a backend (the queue depth)
 
 	// obs holds the scheduler's instruments — among them the per-event
 	// counters that are the only record of job traffic, so Stats() and
@@ -1046,7 +1063,6 @@ func (s *Scheduler) SubmitOpts(spec runner.ExperimentSpec, opts SubmitOptions) (
 		obs.Str("spec_hash", hash), obs.Str("app", string(n.App)), obs.Str("mode", n.Mode)}})
 	if err != nil {
 		delete(s.jobs, job.ID)
-		s.order = s.order[:len(s.order)-1]
 		s.nextID--
 		return nil, fmt.Errorf("queue: journal admission: %w", err)
 	}
@@ -1065,8 +1081,20 @@ func (s *Scheduler) registerJobLocked(id string, spec runner.ExperimentSpec, has
 		trace:    obs.NewTrace(id, "job", attrsForSpec(spec, hash)...),
 	}
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	return job
+}
+
+// retireLocked files a job that just finished (done or failed) in the window
+// of finished jobs, forgetting the oldest once the window is full; caller
+// holds s.mu.
+func (s *Scheduler) retireLocked(job *Job) {
+	if len(s.finished) < FinishedWindow {
+		s.finished = append(s.finished, job)
+		return
+	}
+	delete(s.jobs, s.finished[s.finishedNext].ID)
+	s.finished[s.finishedNext] = job
+	s.finishedNext = (s.finishedNext + 1) % FinishedWindow
 }
 
 // Recover replays the journal's pending jobs onto the board. Call after
@@ -1198,15 +1226,20 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs snapshots every admitted job in admission order.
+// Jobs snapshots every job the scheduler remembers — each unfinished one
+// and the newest FinishedWindow finished ones — in admission order.
 func (s *Scheduler) Jobs() []View {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
+	// IDs are numbered in admission order and zero-padded: a shorter ID is
+	// older, and IDs of one length order as strings.
+	slices.SortFunc(jobs, func(a, b *Job) int {
+		return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID))
+	})
 	views := make([]View, len(jobs))
 	for i, j := range jobs {
 		views[i] = j.Snapshot()

@@ -96,11 +96,11 @@ type detail struct {
 // emit raises one table row for job: it appends the row's journal record,
 // counts it, records its trace event and log line, and moves the job to the
 // row's next state with the bookkeeping that state implies (waiting count,
-// dedup map, checkpoint, Job.finish — which, once the cache holds an
-// executed result, keeps neither its bytes nor its spans). A non-nil
-// return means the transition did not happen: a durable row's record could
-// not be appended, or an executed result would not serialize — the job has
-// then failed instead.
+// dedup map, checkpoint, the window of finished jobs, Job.finish — which,
+// once the cache holds an executed result, keeps neither its bytes nor its
+// spans). A non-nil return means the transition did not happen: a durable
+// row's record could not be appended, or an executed result would not
+// serialize — the job has then failed instead.
 //
 // Locking: rows that enqueue (next == StatusQueued) are raised with s.mu
 // held, because admission is atomic with the dedup map; placed and terminal
@@ -180,10 +180,13 @@ func (s *Scheduler) emit(job *Job, ev event, d detail) error {
 		s.mu.Lock()
 		if row.next == StatusPoisoned {
 			// Duplicate submissions dedup onto the parked record instead of
-			// re-running a known-bad spec.
+			// re-running a known-bad spec; a parked job is never forgotten.
 			s.inflight[job.SpecHash] = job
-		} else if s.inflight[job.SpecHash] == job {
-			delete(s.inflight, job.SpecHash)
+		} else {
+			if s.inflight[job.SpecHash] == job {
+				delete(s.inflight, job.SpecHash)
+			}
+			s.retireLocked(job)
 		}
 		s.mu.Unlock()
 		job.finish(row.next, payload, d.err, store)

@@ -2,7 +2,8 @@
 # Smoke test for the experiment service: build precisiond and
 # precision-client, start the daemon on a free port with a fresh cache,
 # submit the same small CLAMR job twice, and assert the second submission is
-# served from the cache without recompute.
+# served from the cache without recompute; an unknown job ID must answer
+# 404 pointing at the content address.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,5 +29,11 @@ cmp "$work/third.json" "$work/fourth.json" || { echo "FAIL: cached payload not b
 # The stats endpoint must agree: one execution, the rest cache hits.
 stats=$(curl -sf "http://$addr/v1/cache/stats" 2>/dev/null) || stats=$(wget -qO- "http://$addr/v1/cache/stats")
 echo "$stats" | grep -q '"executed":1,' || { echo "FAIL: stats report recompute: $stats" >&2; exit 1; }
+
+# An ID the daemon does not hold — never issued, from before a restart, or
+# finished and forgotten — answers 404 pointing at the content address.
+code=$(curl -s -o "$work/unknown.json" -w '%{http_code}' "http://$addr/v1/jobs/job-999999/result")
+[ "$code" = 404 ] && grep -qF 'GET /v1/results/{spec_hash}' "$work/unknown.json" \
+    || fail "unknown job ID answered $code: $(cat "$work/unknown.json")"
 
 echo "serve-smoke OK ($addr, stats: $stats)"

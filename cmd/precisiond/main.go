@@ -68,7 +68,8 @@
 // full-precision baseline.
 //
 // Result reads go through the tiered read path (DESIGN.md §11): an
-// in-memory hot tier of pre-serialized payloads (-hot-bytes, 0 disables),
+// in-memory hot tier of pre-serialized payloads that have been read twice
+// (-hot-bytes, 0 disables),
 // ETag/If-None-Match revalidation on the result endpoints, and below them
 // the digest-verified disk store.
 //
@@ -140,7 +141,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7717", "listen address (use :0 for any free port)")
 		cacheDir     = flag.String("cache", "precision-cache", "result cache directory (created if needed)")
-		hotBytes     = flag.Int64("hot-bytes", 64<<20, "in-memory hot tier byte cap for cached result payloads (0 = disabled)")
+		hotBytes     = flag.Int64("hot-bytes", 64<<20, "in-memory hot tier byte cap for result payloads read more than once: a result goes hot on its second read, never on write (0 = disabled)")
 		workers      = flag.Int("workers", 2, "jobs executing concurrently on this node (0 = fleet-only; all work leased to remote workers)")
 		queueDepth   = flag.Int("queue-depth", 64, "pending-job queue bound")
 		lanes        = flag.Int("lanes", runtime.GOMAXPROCS(0), "total solver lanes divided among workers")

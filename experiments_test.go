@@ -7,7 +7,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/clamr"
-	"repro/internal/core"
 )
 
 func TestParseScale(t *testing.T) {
@@ -213,7 +212,7 @@ func TestTable4GNUInversionInOutput(t *testing.T) {
 }
 
 func TestFieldDumpThroughRunner(t *testing.T) {
-	dam, err := core.NewDamBreak(Min, clamr.Config{NX: 16, NY: 16, MaxLevel: 1})
+	dam, err := clamr.NewDamBreak(Min, clamr.Config{NX: 16, NY: 16, MaxLevel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

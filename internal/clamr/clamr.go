@@ -277,7 +277,13 @@ func (s *Solver[S, C]) rebuildWorkspace() {
 	s.dhu = growSlice(s.dhu, n)
 	s.dhv = growSlice(s.dhv, n)
 	s.faces.rebuild(s.mesh)
+	s.account()
+}
 
+// account refreshes the memory accounting for the current mesh and face
+// list.
+func (s *Solver[S, C]) account() {
+	n := s.mesh.NumCells()
 	sBytes := uint64(precision.Sizeof[S]())
 	cBytes := uint64(precision.Sizeof[C]())
 	for _, label := range []string{"state", "rhs", "mesh", "faces"} {

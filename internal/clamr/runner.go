@@ -53,10 +53,7 @@ func New(mode precision.Mode, cfg Config, ic InitialCondition) (Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner.stepDur = obs.StepDuration("clamr", "half")
-		h := &halfRunner{Solver: inner}
-		h.demote()
-		return h, nil
+		return newHalfRunner(inner), nil
 	case precision.Min:
 		return NewSolver[float32, float32](cfg, ic)
 	case precision.Mixed:
@@ -74,6 +71,15 @@ func New(mode precision.Mode, cfg Config, ic InitialCondition) (Runner, error) {
 // (f16, f32) point in the precision ablation).
 type halfRunner struct {
 	*Solver[float32, float32]
+}
+
+// newHalfRunner wraps a freshly constructed min solver: it relabels the
+// step-duration metric and demotes the initial state.
+func newHalfRunner(inner *Solver[float32, float32]) *halfRunner {
+	inner.stepDur = obs.StepDuration("clamr", "half")
+	h := &halfRunner{Solver: inner}
+	h.demote()
+	return h
 }
 
 // demote rounds all state arrays through binary16.

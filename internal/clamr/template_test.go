@@ -1,0 +1,337 @@
+package clamr
+
+import (
+	"bytes"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/precision"
+)
+
+// Every Config field is either read while NewSolver builds the solver (and
+// so part of the template key) or only by the step loop (and so set on each
+// copy from the job's own Config). A new field must be added to exactly one
+// list, and the key must follow the classification.
+var (
+	constructionFields = []string{"NX", "NY", "MaxLevel", "Bounds", "InitialAdaptPasses", "RefineTol", "CoarsenTol"}
+	runtimeFields      = []string{"Gravity", "Courant", "Kernel", "AMRInterval", "Workers", "DryTol"}
+)
+
+// isolateTemplates gives the test an empty template store of the default
+// cap, restoring the process-wide one afterwards.
+func isolateTemplates(t *testing.T) *templateStore {
+	t.Helper()
+	saved := templates
+	templates = newTemplateStore(templateStoreBytes)
+	t.Cleanup(func() { templates = saved })
+	return templates
+}
+
+func (ts *templateStore) len() int {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return len(ts.entries)
+}
+
+func (ts *templateStore) has(key templateKey) bool {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	_, ok := ts.entries[key]
+	return ok
+}
+
+// tinyConfig is the campaign tiny shape: 16² cells, one AMR level.
+func tinyConfig() Config {
+	cfg := Config{NX: 16, NY: 16, MaxLevel: 1, AMRInterval: 2}
+	cfg.setDefaults()
+	return cfg
+}
+
+// perturb changes one field's value in place.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float()*2 + 0.5)
+	case reflect.Struct:
+		perturb(t, v.Field(v.NumField()-1))
+	default:
+		t.Fatalf("no perturbation for kind %v", v.Kind())
+	}
+}
+
+func TestConfigFieldsAreClassified(t *testing.T) {
+	class := map[string]bool{} // true = construction
+	for _, f := range constructionFields {
+		class[f] = true
+	}
+	for _, f := range runtimeFields {
+		if _, dup := class[f]; dup {
+			t.Fatalf("field %s is classified twice", f)
+		}
+		class[f] = false
+	}
+	typ := reflect.TypeOf(Config{})
+	if typ.NumField() != len(class) {
+		t.Errorf("Config has %d fields, %d classified", typ.NumField(), len(class))
+	}
+	base := tinyConfig()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		construction, ok := class[name]
+		if !ok {
+			t.Errorf("Config.%s is neither construction-time nor run-time: classify it here and in keyOf", name)
+			continue
+		}
+		cfg := base
+		perturb(t, reflect.ValueOf(&cfg).Elem().Field(i))
+		if changed := keyOf(precision.Min, cfg) != keyOf(precision.Min, base); changed != construction {
+			t.Errorf("Config.%s: changing it moves the template key = %v, want %v", name, changed, construction)
+		}
+	}
+	if keyOf(precision.Half, base) != keyOf(precision.Min, base) {
+		t.Error("half does not share the min template")
+	}
+	if keyOf(precision.Mixed, base) == keyOf(precision.Min, base) {
+		t.Error("mixed shares the min template")
+	}
+}
+
+// configOf returns the Config a runner steps with.
+func configOf(r Runner) Config {
+	switch s := r.(type) {
+	case *halfRunner:
+		return s.cfg
+	case *Solver[float32, float32]:
+		return s.cfg
+	case *Solver[float32, float64]:
+		return s.cfg
+	case *Solver[float64, float64]:
+		return s.cfg
+	}
+	panic("unknown runner type")
+}
+
+// observed is everything observable about a run but its wall-clock
+// timings.
+type observed struct {
+	Checkpoint        []byte
+	Cells, Step       int
+	Time, Mass, Drift float64
+	StateBytes        uint64
+	Counters          any
+	Phases            []string
+}
+
+// observe steps r n times and records the run.
+func observe(t *testing.T, r Runner, n int) observed {
+	t.Helper()
+	if err := r.Run(n); err != nil {
+		t.Fatal(err)
+	}
+	var ck bytes.Buffer
+	if _, err := r.WriteCheckpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	o := observed{
+		Checkpoint: ck.Bytes(), Cells: r.Mesh().NumCells(), Step: r.StepCount(),
+		Time: r.Time(), Mass: r.Mass(), Drift: r.MassError(),
+		StateBytes: r.StateBytes(), Counters: r.Counters(),
+	}
+	for _, p := range r.Timer().Totals() {
+		o.Phases = append(o.Phases, p.Name)
+	}
+	return o
+}
+
+// TestTemplateCopiesMatchFreshSolvers steps a freshly constructed solver
+// and one copied from a stored template, with different dry floors (a
+// run-time field the template must not carry over), and requires the runs
+// to agree on everything but wall time.
+func TestTemplateCopiesMatchFreshSolvers(t *testing.T) {
+	isolateTemplates(t)
+	for _, mode := range []precision.Mode{precision.Half, precision.Min, precision.Mixed, precision.Full} {
+		for _, kernel := range []Kernel{KernelCell, KernelFace} {
+			for _, workers := range []int{1, 3} {
+				cfg := tinyConfig()
+				cfg.Kernel, cfg.Workers, cfg.DryTol = kernel, workers, 2e-6
+				fresh, err := New(mode, cfg, PaperDamBreak(cfg.Bounds))
+				if err != nil {
+					t.Fatal(err)
+				}
+				job := cfg
+				job.DryTol = 7e-6
+				if _, err := NewDamBreak(mode, job); err != nil { // stores the template on a miss
+					t.Fatal(err)
+				}
+				if !templates.has(keyOf(mode, job)) {
+					t.Fatalf("%v: the tiny shape was not stored", mode)
+				}
+				copied, err := NewDamBreak(mode, job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := configOf(copied); got != job {
+					t.Fatalf("%v/%v/w%d: copy runs with config %+v, want the job's %+v", mode, kernel, workers, got, job)
+				}
+				want, got := observe(t, fresh, 9), observe(t, copied, 9)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v/%v/w%d: template copy diverged from a fresh solver:\n got %+v\nwant %+v",
+						mode, kernel, workers, got.Counters, want.Counters)
+				}
+			}
+		}
+	}
+}
+
+// TestTemplateCopiesAreIndependent: stepping one copy (mesh adaptation
+// included) changes neither the template nor a sibling copy.
+func TestTemplateCopiesAreIndependent(t *testing.T) {
+	isolateTemplates(t)
+	cfg := tinyConfig()
+	for i := 0; i < 3; i++ { // miss, then two copies
+		if i == 0 {
+			if _, err := NewDamBreak(precision.Full, cfg); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		r, err := NewDamBreak(precision.Full, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(precision.Full, cfg, PaperDamBreak(cfg.Bounds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := observe(t, r, 6), observe(t, fresh, 6); !reflect.DeepEqual(got, want) {
+			t.Fatalf("copy %d diverged after an earlier copy was stepped", i)
+		}
+	}
+}
+
+func TestTemplateKeyFieldChangeMisses(t *testing.T) {
+	ts := isolateTemplates(t)
+	cfg := tinyConfig()
+	if _, err := NewDamBreak(precision.Min, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if ts.len() != 1 {
+		t.Fatalf("store holds %d templates after one build, want 1", ts.len())
+	}
+	// Run-time fields and half reuse the min template.
+	rt := cfg
+	rt.DryTol, rt.Workers, rt.Kernel, rt.AMRInterval = 3e-6, 3, KernelFace, 5
+	for _, mode := range []precision.Mode{precision.Min, precision.Half} {
+		if _, err := NewDamBreak(mode, rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ts.len() != 1 {
+		t.Fatalf("run-time fields or half built a second template (%d stored)", ts.len())
+	}
+	// A construction field misses.
+	ct := cfg
+	ct.RefineTol = 0.03
+	if _, err := NewDamBreak(precision.Min, ct); err != nil {
+		t.Fatal(err)
+	}
+	if ts.len() != 2 || !ts.has(keyOf(precision.Min, ct)) {
+		t.Fatalf("a RefineTol change did not miss the store (%d stored)", ts.len())
+	}
+}
+
+func TestTemplateStoreStaysWithinItsCap(t *testing.T) {
+	ts := isolateTemplates(t)
+	var first templateKey
+	for i := 0; i < 24; i++ {
+		cfg := tinyConfig()
+		cfg.RefineTol = 0.02 + 0.001*float64(i)
+		if _, err := NewDamBreak(precision.Full, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = keyOf(precision.Full, cfg)
+		}
+		if ts.bytes > ts.maxBytes {
+			t.Fatalf("after %d shapes the store holds %d bytes, cap %d", i+1, ts.bytes, ts.maxBytes)
+		}
+	}
+	if n := ts.len(); n >= 24 || n == 0 {
+		t.Fatalf("store holds %d of 24 tiny templates, want some evicted", n)
+	}
+	if ts.has(first) {
+		t.Error("the least recently used template survived eviction")
+	}
+
+	// 48² with one level (the quick sweep's fleet shapes) is over the
+	// per-template limit in every mode and is never stored.
+	for _, mode := range []precision.Mode{precision.Min, precision.Full} {
+		big := Config{NX: 48, NY: 48, MaxLevel: 1}
+		big.setDefaults()
+		r, err := NewDamBreak(mode, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts.has(keyOf(mode, big)) {
+			t.Errorf("%v 48²/L1 template stored (%d cells)", mode, r.Mesh().NumCells())
+		}
+	}
+	// And the tiny shape qualifies in every mode.
+	for _, mode := range []precision.Mode{precision.Min, precision.Mixed, precision.Full} {
+		cfg := tinyConfig()
+		if _, err := NewDamBreak(mode, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !ts.has(keyOf(mode, cfg)) {
+			t.Errorf("%v 16²/L1 template not stored", mode)
+		}
+	}
+}
+
+// TestTemplateStoreConcurrentUse builds, copies and steps solvers of a few
+// shapes from many goroutines at once; every run must match a fresh one.
+func TestTemplateStoreConcurrentUse(t *testing.T) {
+	isolateTemplates(t)
+	modes := []precision.Mode{precision.Half, precision.Min, precision.Full}
+	want := make([]observed, len(modes))
+	for i, mode := range modes {
+		cfg := tinyConfig()
+		fresh, err := New(mode, cfg, PaperDamBreak(cfg.Bounds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = observe(t, fresh, 4)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := g % len(modes)
+			cfg := tinyConfig()
+			cfg.Workers = 1 + g%3
+			r, err := NewDamBreak(modes[i], cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := r.Run(4); err != nil {
+				t.Error(err)
+				return
+			}
+			var ck bytes.Buffer
+			if _, err := r.WriteCheckpoint(&ck); err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(ck.Bytes(), want[i].Checkpoint) {
+				t.Errorf("goroutine %d (%v): checkpoint differs from a fresh run", g, modes[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+}

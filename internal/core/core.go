@@ -20,7 +20,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/clamr"
 	"repro/internal/fault"
-	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/precision"
 	"repro/internal/self"
@@ -154,16 +153,6 @@ func writePeriodicCheckpoint(opts RunOptions, r stepper, step int) {
 	w.Close()
 }
 
-// NewDamBreak builds a CLAMR runner on the paper's cylindrical dam-break
-// problem at the given precision. A zero cfg.Bounds selects the unit square.
-func NewDamBreak(mode precision.Mode, cfg clamr.Config) (clamr.Runner, error) {
-	if cfg.Bounds == (mesh.Bounds{}) {
-		cfg.Bounds = mesh.UnitBounds
-	}
-	b := cfg.Bounds
-	return clamr.New(mode, cfg, clamr.DamBreak(b, 10, 2, 0.15*b.Width(), 0.05*b.Width()))
-}
-
 // RunCLAMROpts executes the dam-break problem at one precision mode and
 // collects the paper's measurables. lineCutN > 0 samples the height along
 // the horizontal center line at that resolution.
@@ -173,11 +162,17 @@ func RunCLAMROpts(mode precision.Mode, cfg clamr.Config, steps, lineCutN int, op
 	if opts.Resume != nil {
 		r, err = clamr.Load(mode, cfg, opts.Resume)
 	} else {
-		r, err = NewDamBreak(mode, cfg)
+		r, err = clamr.NewDamBreak(mode, cfg)
 	}
 	if err != nil {
 		return CLAMRResult{}, err
 	}
+	return runCLAMR(r, mode, cfg.Kernel, steps, lineCutN, opts)
+}
+
+// runCLAMR steps a constructed runner to `steps` and collects the
+// measurables.
+func runCLAMR(r clamr.Runner, mode precision.Mode, kernel clamr.Kernel, steps, lineCutN int, opts RunOptions) (CLAMRResult, error) {
 	start := time.Now()
 	if err := stepUntil(opts, r, steps); err != nil {
 		return CLAMRResult{}, err
@@ -186,7 +181,7 @@ func RunCLAMROpts(mode precision.Mode, cfg clamr.Config, steps, lineCutN int, op
 
 	res := CLAMRResult{
 		Mode:       mode,
-		Kernel:     cfg.Kernel,
+		Kernel:     kernel,
 		Steps:      steps,
 		Cells:      r.Mesh().NumCells(),
 		WallTime:   wall,

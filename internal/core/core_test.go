@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/clamr"
+	"repro/internal/mesh"
 	"repro/internal/precision"
 	"repro/internal/self"
 )
@@ -143,5 +146,48 @@ func TestFormatters(t *testing.T) {
 	}
 	if FormatSpeedup(0) != "-" || FormatSpeedup(math.NaN()) != "-" {
 		t.Error("degenerate speedups not dashed")
+	}
+}
+
+// TestTemplateBuiltRunsMatchFreshRuns compares the measurables of a run on
+// a freshly constructed dam break with those of a run on a copy of its
+// stored template (clamr.NewDamBreak's second build of a tiny shape), with
+// dry floors that differ between the two: everything but wall-clock time —
+// counters, memory, checkpoint bytes, mass error, line cut, phase names —
+// must agree, in every mode, with both kernels, serial and chunked.
+func TestTemplateBuiltRunsMatchFreshRuns(t *testing.T) {
+	untimed := func(r CLAMRResult) CLAMRResult {
+		r.WallTime, r.FiniteDiffTime = 0, 0
+		for i := range r.Phases {
+			r.Phases[i].Seconds = 0
+		}
+		return r
+	}
+	for _, mode := range []precision.Mode{precision.Half, precision.Min, precision.Mixed, precision.Full} {
+		for _, kernel := range []clamr.Kernel{clamr.KernelCell, clamr.KernelFace} {
+			for _, workers := range []int{1, 3} {
+				cfg := clamr.Config{NX: 16, NY: 16, MaxLevel: 1, AMRInterval: 4, Kernel: kernel, Workers: workers, DryTol: 4e-6}
+				run := func(r clamr.Runner, err error) (CLAMRResult, []byte) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var ck bytes.Buffer
+					res, err := runCLAMR(r, mode, cfg.Kernel, 12, 32, RunOptions{Checkpoint: &ck})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return untimed(res), ck.Bytes()
+				}
+				want, wantCk := run(clamr.New(mode, cfg, clamr.PaperDamBreak(mesh.UnitBounds)))
+				cfg.DryTol = 9e-6
+				clamr.NewDamBreak(mode, cfg) // a miss stores the template
+				got, gotCk := run(clamr.NewDamBreak(mode, cfg))
+				if !reflect.DeepEqual(got, want) || !bytes.Equal(gotCk, wantCk) {
+					t.Errorf("%v/%v/w%d: template-built run differs from a fresh one:\n got %+v\nwant %+v",
+						mode, kernel, workers, got, want)
+				}
+			}
+		}
 	}
 }

@@ -11,7 +11,10 @@ package mesh
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"unsafe"
 )
 
 // MaxRefineLevel is the hard cap on refinement depth supported by the key
@@ -130,6 +133,27 @@ func FromCells(nx, ny, maxLevel int, bounds Bounds, cells []Cell) (*Mesh, error)
 		return nil, fmt.Errorf("mesh: restored cell list invalid: %w", err)
 	}
 	return m, nil
+}
+
+// Clone returns an independent copy of the mesh: leaves, hash index and
+// neighbor cache are copied rather than rebuilt, so cloning costs a few
+// memory copies where New plus adaptation costs a hash probe per side per
+// cell. Adapting the clone leaves m untouched.
+func (m *Mesh) Clone() *Mesh {
+	c := *m
+	c.cells = slices.Clone(m.cells)
+	c.index = maps.Clone(m.index)
+	c.nbrs = slices.Clone(m.nbrs)
+	return &c
+}
+
+// Footprint estimates the bytes the mesh holds: the leaf list, the
+// neighbor cache and the hash index (one map slot plus load-factor slack
+// per leaf).
+func (m *Mesh) Footprint() int64 {
+	const indexEntryBytes = 24
+	perCell := int64(unsafe.Sizeof(Cell{})+unsafe.Sizeof(Neighbors{})) + indexEntryBytes
+	return int64(len(m.cells)) * perCell
 }
 
 // NumCells returns the number of active leaves.

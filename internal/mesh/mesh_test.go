@@ -554,3 +554,22 @@ func BenchmarkAdaptCycle(b *testing.B) {
 		_, _ = m.Adapt(flags)
 	}
 }
+
+func TestMeshCloneIsIndependent(t *testing.T) {
+	m, err := New(8, 8, 1, UnitBounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.Clone()
+	flags := make([]RefineFlag, c.NumCells())
+	flags[0] = Refine
+	if _, err := c.Adapt(flags); err != nil {
+		t.Fatal(err)
+	}
+	if m.NumCells() != 64 || c.NumCells() == 64 {
+		t.Fatalf("cells: original %d, clone %d after refining the clone", m.NumCells(), c.NumCells())
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

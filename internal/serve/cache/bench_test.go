@@ -12,7 +12,8 @@ func benchPayload() []byte {
 }
 
 // benchFetch stores the bench payload in a cache opened with opts and
-// returns one Fetch of it, checked against the tier that must serve it.
+// returns one Fetch of it, checked against the tier that must serve it. A
+// hot-tier bench reads the key twice first: the second read admits it.
 func benchFetch(tb testing.TB, want Source, opts ...Option) func() {
 	c, err := Open(tb.TempDir(), opts...)
 	if err != nil {
@@ -21,6 +22,10 @@ func benchFetch(tb testing.TB, want Source, opts ...Option) func() {
 	key := testKey("bench")
 	if err := c.Put(key, benchPayload()); err != nil {
 		tb.Fatal(err)
+	}
+	if want == SourceHot {
+		c.Fetch(key)
+		c.Fetch(key)
 	}
 	return func() {
 		if _, src, ok := c.Fetch(key); !ok || src != want {
@@ -53,13 +58,14 @@ func BenchmarkReadPathHotTier(b *testing.B) {
 }
 
 // Allocations per read are machine-independent: a hot hit allocates
-// nothing, and a disk fill stays within 20% of the 16 allocs/op the read
-// path was committed at (DESIGN.md §11).
+// nothing, and a disk fill — path, open, stat and the read buffer; the
+// header and digest checks allocate nothing — stays at the 9 allocs/op it
+// was measured at (DESIGN.md §11).
 func TestReadPathAllocCeilings(t *testing.T) {
 	if n := testing.AllocsPerRun(100, benchFetch(t, SourceHot, WithHotBytes(1<<20))); n != 0 {
 		t.Errorf("hot-tier fetch: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, benchFetch(t, SourceDisk)); n > 19 {
-		t.Errorf("cold-disk fetch: %v allocs/op, ceiling 19", n)
+	if n := testing.AllocsPerRun(100, benchFetch(t, SourceDisk)); n > 9 {
+		t.Errorf("cold-disk fetch: %v allocs/op, ceiling 9", n)
 	}
 }

@@ -4,7 +4,11 @@
 //
 // Tier 0 — hot: an optional byte-capped in-memory LRU (WithHotBytes)
 // holding the pre-serialized response bytes. A hot hit is one map lookup;
-// no file I/O, no JSON round-trip.
+// no file I/O, no JSON round-trip. Payloads go hot on evidence of reuse,
+// never on write: a verified disk fill is admitted when it is the key's
+// second read (a fixed-size doorkeeper remembers first reads) or when its
+// singleflight had followers. A result read once — a campaign job's, by
+// the campaign that folds it — never occupies memory.
 //
 // Tier 2 — disk: the durable store. Entries live at <dir>/<h[:2]>/<h>.res
 // (two-level fan-out so huge sweeps do not produce one enormous
@@ -23,7 +27,8 @@
 // Fills below the hot tier are collapsed by a per-key singleflight: a
 // stampede of concurrent readers on one uncached key performs exactly one
 // disk read; the followers are handed the leader's verified bytes from
-// memory (and counted as hot hits — they were served at memory speed).
+// memory (and counted as hot hits — they were served at memory speed). A
+// stampede is evidence of reuse, so its fill is admitted to the hot tier.
 //
 // (Tier 1 of the read path — ETag/If-None-Match revalidation — lives in
 // internal/serve/api; it short-circuits before any cache call.)
@@ -34,6 +39,7 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -67,8 +73,9 @@ const (
 // the optional hot tier. All methods are safe for concurrent use; the
 // atomic counters feed /v1/cache/stats.
 type Cache struct {
-	dir string
-	hot *HotTier // nil = tier disabled
+	dir  string
+	hot  *HotTier    // nil = tier disabled
+	door *doorkeeper // nil with the hot tier
 
 	// flights collapses concurrent below-hot fills per key.
 	flightMu sync.Mutex
@@ -86,18 +93,25 @@ type Cache struct {
 // flight is one in-progress below-hot fill; followers wait on done and
 // share the leader's outcome.
 type flight struct {
-	done    chan struct{}
-	payload []byte
-	ok      bool
+	done      chan struct{}
+	payload   []byte
+	ok        bool
+	followers int // guarded by flightMu
 }
 
 // Option adjusts a Cache at Open.
 type Option func(*Cache)
 
 // WithHotBytes fronts the disk store with an in-memory hot tier capped at
-// maxBytes of pre-serialized payload (<= 0 leaves the tier disabled).
+// maxBytes of pre-serialized payload (<= 0 leaves the tier disabled), and
+// with the doorkeeper that admits to it.
 func WithHotBytes(maxBytes int64) Option {
-	return func(c *Cache) { c.hot = NewHotTier(maxBytes) }
+	return func(c *Cache) {
+		c.hot = NewHotTier(maxBytes)
+		if c.hot != nil {
+			c.door = new(doorkeeper)
+		}
+	}
 }
 
 // recordErr counts an error, retains its message, and returns it.
@@ -172,9 +186,6 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	return c, nil
 }
 
-// Hot exposes the hot tier (nil when disabled) — stats and tests.
-func (c *Cache) Hot() *HotTier { return c.hot }
-
 // Dir returns the cache root.
 func (c *Cache) Dir() string { return c.dir }
 
@@ -197,8 +208,9 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".res")
 }
 
-// Put stores payload under key, atomically. Re-putting an existing key
-// rewrites it (the payloads are content-equal by construction, so last
+// Put stores payload under key, atomically, on disk only: a write is no
+// evidence that anyone will read the result twice. Re-putting an existing
+// key rewrites it (the payloads are content-equal by construction, so last
 // writer wins is harmless).
 func (c *Cache) Put(key string, payload []byte) error {
 	if !validKey(key) {
@@ -238,10 +250,6 @@ func (c *Cache) Put(key string, payload []byte) error {
 		return c.recordErr(fmt.Errorf("cache: put %s: %w", key, err))
 	}
 	c.puts.Add(1)
-	// Write-through population: a just-completed job is the likeliest next
-	// read (sweep replays, duplicate submissions), so the response bytes go
-	// hot immediately.
-	c.hot.Put(key, payload)
 	return nil
 }
 
@@ -256,8 +264,22 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // entry reports (nil, SourceMiss, false); corrupt disk entries are
 // quarantined out of the lookup path so they are recomputed rather than
 // rediscovered on every request, while the bad bytes stay on disk for
-// inspection. Returned payloads are shared read-only slices.
+// inspection. A disk fill goes hot if it is the key's second read or had
+// singleflight followers. Returned payloads are shared read-only slices.
 func (c *Cache) Fetch(key string) ([]byte, Source, bool) {
+	return c.fetch(key, true)
+}
+
+// FetchOnce is Fetch for a reader that will not ask for key again — a
+// campaign folding a result into its aggregates. It is served and counted
+// like Fetch, but it is no evidence of reuse: the doorkeeper does not
+// record it, so it neither admits the payload nor brings a later read
+// closer to admitting it.
+func (c *Cache) FetchOnce(key string) ([]byte, Source, bool) {
+	return c.fetch(key, false)
+}
+
+func (c *Cache) fetch(key string, reuse bool) ([]byte, Source, bool) {
 	if !validKey(key) {
 		c.misses.Add(1)
 		return nil, SourceMiss, false
@@ -271,6 +293,7 @@ func (c *Cache) Fetch(key string) ([]byte, Source, bool) {
 	// the disk read; followers share its verified bytes.
 	c.flightMu.Lock()
 	if f, inFlight := c.flights[key]; inFlight {
+		f.followers++
 		c.flightMu.Unlock()
 		<-f.done
 		if !f.ok {
@@ -288,24 +311,29 @@ func (c *Cache) Fetch(key string) ([]byte, Source, bool) {
 	f.payload, f.ok = payload, ok
 	c.flightMu.Lock()
 	delete(c.flights, key)
+	stampede := f.followers > 0
 	c.flightMu.Unlock()
+	// Admit before releasing the followers, so that once any reader of the
+	// stampede returns, the next read is a hot hit.
+	if ok && (stampede || reuse && c.door.secondRead(key)) {
+		c.hot.Put(key, payload)
+	}
 	close(f.done)
 	return payload, src, ok
 }
 
-// fill reads one key from disk (the flight leader's path) and populates
-// the hot tier on success.
+// fill reads and verifies one key from disk (the flight leader's path).
 func (c *Cache) fill(key string) ([]byte, Source, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		c.misses.Add(1)
 		return nil, SourceMiss, false
 	}
-	payload, ok := c.verify(key, data)
+	payload, ok := verify(key, data)
 	if !ok {
-		// The corrupt bytes never reach the hot tier — only the verified
-		// path above admits payloads upward — so a bad disk entry degrades
-		// to a miss without poisoning memory.
+		// The corrupt bytes never reach the hot tier — only a verified fill
+		// is admitted upward — so a bad disk entry degrades to a miss
+		// without poisoning memory.
 		c.corruptDropped.Add(1)
 		c.misses.Add(1)
 		c.lastErr.Store("corrupt entry quarantined: " + key)
@@ -313,7 +341,6 @@ func (c *Cache) fill(key string) ([]byte, Source, bool) {
 		return nil, SourceMiss, false
 	}
 	c.diskHits.Add(1)
-	c.hot.Put(key, payload)
 	return payload, SourceDisk, true
 }
 
@@ -349,22 +376,26 @@ func (c *Cache) WriteProbe() error {
 	return nil
 }
 
-// verify checks the entry header and payload digest.
-func (c *Cache) verify(key string, data []byte) ([]byte, bool) {
-	nl := strings.IndexByte(string(data[:min(len(data), 256)]), '\n')
-	if nl < 0 {
+// verify checks the entry header — "<headerTag> <key> <digest>", as Put
+// writes it — and the payload's SHA-256 against the digest, without
+// allocating: the header is split and compared in place and the digest is
+// decoded into an array.
+func verify(key string, data []byte) ([]byte, bool) {
+	header, payload, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok || len(header) > 256 {
 		return nil, false
 	}
-	fields := strings.Fields(string(data[:nl]))
-	if len(fields) != 3 || fields[0] != headerTag || fields[1] != key {
+	tag, rest, _ := bytes.Cut(header, []byte{' '})
+	k, digest, _ := bytes.Cut(rest, []byte{' '})
+	var want [sha256.Size]byte
+	if string(tag) != headerTag || string(k) != key ||
+		hex.DecodedLen(len(digest)) != len(want) {
 		return nil, false
 	}
-	payload := data[nl+1:]
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != fields[2] {
+	if _, err := hex.Decode(want[:], digest); err != nil {
 		return nil, false
 	}
-	return payload, true
+	return payload, sha256.Sum256(payload) == want
 }
 
 // Stats is a point-in-time snapshot of the cache's traffic and contents.

@@ -4,7 +4,7 @@
 // The tier stores the exact response bytes — never decoded Results — so a
 // hot hit is one map lookup and one slice handoff: no file I/O, no JSON
 // round-trip, no digest re-verification (the bytes were verified on the
-// way in, by Put or by the disk read that filled them). Payloads are
+// way in, by the disk read that filled them). Payloads are
 // shared read-only between the tier and its callers; nothing in the serve
 // stack mutates a result payload after it is built.
 //
@@ -17,7 +17,9 @@ package cache
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // HotTier is a byte-capped LRU of pre-serialized payloads. The zero value
@@ -102,22 +104,6 @@ func (h *HotTier) evictOldestLocked() {
 	h.bytes -= int64(len(e.payload))
 }
 
-// Remove drops key from the tier (a corrupt disk entry must not leave a
-// stale twin in memory).
-func (h *HotTier) Remove(key string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if el, ok := h.entries[key]; ok {
-		e := el.Value.(*hotEntry)
-		h.ll.Remove(el)
-		delete(h.entries, key)
-		h.bytes -= int64(len(e.payload))
-	}
-}
-
 // Len reports the resident entry count.
 func (h *HotTier) Len() int {
 	if h == nil {
@@ -144,4 +130,36 @@ func (h *HotTier) MaxBytes() int64 {
 		return 0
 	}
 	return h.maxBytes
+}
+
+// The doorkeeper holds doorSlots = 4096 fingerprints: 32 KiB.
+const (
+	doorBits  = 12
+	doorSlots = 1 << doorBits
+)
+
+// doorkeeper is the hot tier's admission filter: it remembers which keys
+// have been read from disk once, in fixed space — doorSlots direct-mapped
+// 64-bit fingerprints of the key's leading hex digits — so that a result
+// read once never goes hot while one read twice does. It never grows with
+// the number of keys: a collision overwrites the older fingerprint, which
+// only delays that key's admission by one read. A nil *doorkeeper (hot
+// tier disabled) admits nothing.
+type doorkeeper struct {
+	slots [doorSlots]atomic.Uint64
+}
+
+// secondRead records a read of key and reports whether one was already
+// recorded. The fingerprint stays after admission, so a key the LRU
+// evicts goes hot again on its next read.
+func (d *doorkeeper) secondRead(key string) bool {
+	if d == nil {
+		return false
+	}
+	// Keys are validated lowercase hex, so the parse cannot fail. Bit 0 is
+	// forced on so that no fingerprint equals an empty slot; the slot comes
+	// from the top bits.
+	fp, _ := strconv.ParseUint(key[:16], 16, 64)
+	fp |= 1
+	return d.slots[fp>>(64-doorBits)].Swap(fp) == fp
 }

@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestSingleflightCollapsesStampede holds the flight leader inside its disk
@@ -144,7 +145,103 @@ func TestHotTierEvictionUnderByteCap(t *testing.T) {
 	}
 }
 
-func TestCacheEvictsThroughWriteThrough(t *testing.T) {
+// readTwice reads key twice, the second read admitting it to the hot tier.
+func readTwice(t *testing.T, c *Cache, key string) {
+	t.Helper()
+	for i, want := range []Source{SourceDisk, SourceDisk} {
+		if _, src, ok := c.Fetch(key); !ok || src != want {
+			t.Fatalf("read %d of %s = %q, %v; want %q", i+1, key[:8], src, ok, want)
+		}
+	}
+}
+
+func TestPutThenOneReadNeverGoesHot(t *testing.T) {
+	c, err := Open(t.TempDir(), WithHotBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		key := testKey(fmt.Sprintf("once-%d", i))
+		if err := c.Put(key, []byte("result read once")); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Stats(); s.HotEntries != 0 {
+			t.Fatalf("a put went hot: %d entries", s.HotEntries)
+		}
+		if _, src, ok := c.Fetch(key); !ok || src != SourceDisk {
+			t.Fatalf("first read = %q, %v; want a disk hit", src, ok)
+		}
+	}
+	if s := c.Stats(); s.HotEntries != 0 || s.HotBytes != 0 {
+		t.Fatalf("64 results read once each left %d entries, %d bytes hot", s.HotEntries, s.HotBytes)
+	}
+}
+
+func TestSecondReadAdmits(t *testing.T) {
+	c, err := Open(t.TempDir(), WithHotBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("twice")
+	payload := []byte("result read twice")
+	if err := c.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	readTwice(t, c, key)
+	got, src, ok := c.Fetch(key)
+	if !ok || src != SourceHot || !bytes.Equal(got, payload) {
+		t.Fatalf("third read = %q, %q, %v; want the payload from the hot tier", got, src, ok)
+	}
+	if s := c.Stats(); s.HotEntries != 1 || s.HotBytes != int64(len(payload)) {
+		t.Fatalf("hot tier holds %d entries, %d bytes; want 1, %d", s.HotEntries, s.HotBytes, len(payload))
+	}
+}
+
+// TestFetchOnceIsNoEvidenceOfReuse: reads a caller promises not to repeat
+// neither admit nor count toward admission.
+func TestFetchOnceIsNoEvidenceOfReuse(t *testing.T) {
+	c, err := Open(t.TempDir(), WithHotBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("land")
+	if err := c.Put(key, []byte("campaign result")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, src, ok := c.FetchOnce(key); !ok || src != SourceDisk {
+			t.Fatalf("FetchOnce = %q, %v; want a disk hit", src, ok)
+		}
+	}
+	readTwice(t, c, key) // the first Fetch is still a first read
+	if _, src, _ := c.Fetch(key); src != SourceHot {
+		t.Fatalf("read after two Fetches = %q, want hot", src)
+	}
+}
+
+// The doorkeeper is a fixed array: recording a key allocates nothing, so
+// its memory cannot grow with the number of keys read.
+func TestDoorkeeperSizeIsFixed(t *testing.T) {
+	if size := unsafe.Sizeof(doorkeeper{}); size != 32<<10 {
+		t.Fatalf("doorkeeper is %d bytes, want 32 KiB of slots", size)
+	}
+	var d doorkeeper
+	keys := make([]string, 4*doorSlots)
+	for i := range keys {
+		keys[i] = testKey(fmt.Sprintf("door-%d", i))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(len(keys), func() { d.secondRead(keys[i%len(keys)]); i++ }); n != 0 {
+		t.Fatalf("recording a key allocates %v times", n)
+	}
+	// Four times as many keys as slots went through; the last one is
+	// still remembered.
+	if !d.secondRead(keys[(i-1)%len(keys)]) {
+		t.Fatal("the most recent key was forgotten")
+	}
+}
+
+func TestCacheEvictsAdmittedEntries(t *testing.T) {
 	c, err := Open(t.TempDir(), WithHotBytes(1024))
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +252,7 @@ func TestCacheEvictsThroughWriteThrough(t *testing.T) {
 		if err := c.Put(k, payload); err != nil {
 			t.Fatal(err)
 		}
+		readTwice(t, c, k)
 	}
 	s := c.Stats()
 	if s.HotBytes > s.HotMaxBytes {
@@ -163,7 +261,8 @@ func TestCacheEvictsThroughWriteThrough(t *testing.T) {
 	if s.HotEntries != 2 {
 		t.Fatalf("HotEntries = %d, want 2 (one evicted)", s.HotEntries)
 	}
-	// The evicted key is still a hit — from disk — and refills the tier.
+	// The evicted key is still a hit — from disk — and, having been read
+	// twice before, refills the tier at once.
 	if _, src, ok := c.Fetch(keys[0]); !ok || src != SourceDisk {
 		t.Fatalf("evicted key Fetch = %q, %v; want disk hit", src, ok)
 	}
@@ -172,9 +271,10 @@ func TestCacheEvictsThroughWriteThrough(t *testing.T) {
 	}
 }
 
-// TestCorruptEntryDoesNotPoisonHotTier corrupts the disk entry behind the
-// hot tier's back and checks the degradation contract: the read is a miss,
-// the entry is quarantined, and no stale or corrupt bytes remain in memory.
+// TestCorruptEntryDoesNotPoisonHotTier corrupts a disk entry between its
+// first read and the read that would admit it, and checks the degradation
+// contract: the read is a miss, the entry is quarantined, and no corrupt
+// bytes reach memory.
 func TestCorruptEntryDoesNotPoisonHotTier(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, WithHotBytes(1<<20))
@@ -186,8 +286,9 @@ func TestCorruptEntryDoesNotPoisonHotTier(t *testing.T) {
 	if err := c.Put(key, payload); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate an eviction so the next read must go to disk.
-	c.Hot().Remove(key)
+	if _, src, ok := c.Fetch(key); !ok || src != SourceDisk {
+		t.Fatalf("first read = %q, %v; want a disk hit", src, ok)
+	}
 
 	path := filepath.Join(dir, key[:2], key+".res")
 	data, err := os.ReadFile(path)
@@ -202,16 +303,20 @@ func TestCorruptEntryDoesNotPoisonHotTier(t *testing.T) {
 	if _, src, ok := c.Fetch(key); ok || src != SourceMiss {
 		t.Fatalf("corrupt entry served (source %q)", src)
 	}
-	if c.Hot().Len() != 0 {
+	if s := c.Stats(); s.HotEntries != 0 {
 		t.Fatal("corrupt read left bytes in the hot tier")
 	}
 	// Degraded to a miss, not an outage: Fetch again is still a clean miss
-	// (the entry was quarantined), and a fresh put serves hot again.
+	// (the entry was quarantined), and a fresh put is admitted by its next
+	// read (the key's first read is remembered) and then served hot.
 	if _, _, ok := c.Fetch(key); ok {
 		t.Fatal("quarantined entry served")
 	}
 	if err := c.Put(key, payload); err != nil {
 		t.Fatal(err)
+	}
+	if _, src, ok := c.Fetch(key); !ok || src != SourceDisk {
+		t.Fatalf("re-put read = %q, %v; want a disk hit", src, ok)
 	}
 	got, src, ok := c.Fetch(key)
 	if !ok || src != SourceHot || !bytes.Equal(got, payload) {

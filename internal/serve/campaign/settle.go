@@ -236,7 +236,7 @@ type landed struct {
 // land settles a terminal job's index on the row its end state names.
 func (m *Manager) land(c *Campaign, ref JobRef, job *queue.Job) {
 	var res landed
-	payload, ok := job.Result()
+	payload, ok := job.ResultOnce()
 	if ok {
 		ok = json.Unmarshal(payload, &res) == nil
 	}

@@ -247,11 +247,22 @@ func (j *Job) Done() <-chan struct{} {
 // result this is a cache read (hot tier, then disk), which reports false
 // if the entry has since been lost (quarantined as corrupt, deleted).
 func (j *Job) Result() ([]byte, bool) {
+	return j.readResult((*cache.Cache).Fetch)
+}
+
+// ResultOnce is Result for a reader that reads the payload exactly once (a
+// campaign landing the job): its cache read is cache.FetchOnce, which is
+// no evidence of reuse and never warms the hot tier.
+func (j *Job) ResultOnce() ([]byte, bool) {
+	return j.readResult((*cache.Cache).FetchOnce)
+}
+
+func (j *Job) readResult(fetch func(*cache.Cache, string) ([]byte, cache.Source, bool)) ([]byte, bool) {
 	j.mu.Lock()
 	payload, done, store := j.result, j.status == StatusDone, j.store
 	j.mu.Unlock()
 	if store != nil {
-		payload, _, done = store.Fetch(j.SpecHash)
+		payload, _, done = fetch(store, j.SpecHash)
 	}
 	return payload, done
 }

@@ -2,7 +2,8 @@
 # Tiered read-path smoke test (DESIGN.md §11): hot memory, ETag/304, disk.
 #
 # Phase A — default hot tier. Run the quick paper sweep, read every result
-# by hash, then replay the sweep with -replay-cache and assert the replay
+# by hash (each result's second read: served from disk, and admitted to the
+# hot tier), then replay the sweep with -replay-cache and assert the replay
 # lived above the disk:
 #   * every admission probe is a hot hit and every result body an
 #     If-None-Match revalidation: N/N 304s, zero bytes moved,
@@ -43,9 +44,11 @@ total=$(grep -c . "$work/pass1.json")
 [ "$total" -ge 2 ] || fail "cold sweep produced only $total results"
 hashes=$(extract_pairs "$work/pass1.json" | cut -d' ' -f1)
 read_all "$work/hot"
-reads_hot=$(metric 'precisiond_result_reads_total{source="hot"}')
-[ "${reads_hot:-0}" -eq "$total" ] \
-    || fail "reads by hash after write-through: ${reads_hot:-0}/$total from the hot tier"
+reads_disk=$(metric 'precisiond_result_reads_total{source="disk"}')
+[ "${reads_disk:-0}" -eq "$total" ] \
+    || fail "reads by hash after the cold sweep: ${reads_disk:-0}/$total from disk"
+[ "$(cstat hot_entries)" -eq "$total" ] \
+    || fail "second reads admitted $(cstat hot_entries)/$total results to the hot tier"
 
 disk1=$(cstat disk_hits); puts1=$(cstat puts); hot1=$(cstat hot_hits)
 

@@ -22,8 +22,10 @@ bench-check:
 
 verify: build vet test bench-check
 
+# A construction template's mesh and face list are read by many solvers at
+# once, so mesh, checkpoint and core run under the detector too.
 race:
-	$(GO) test -race ./internal/par/... ./internal/clamr/... ./internal/self/... ./internal/serve/... ./internal/runner/... ./cmd/precision-worker/...
+	$(GO) test -race ./internal/par/... ./internal/mesh/... ./internal/checkpoint/... ./internal/clamr/... ./internal/core/... ./internal/self/... ./internal/serve/... ./internal/runner/... ./cmd/precision-worker/...
 
 # Net non-test Go lines outside bench/: the number CHANGES.md reports per PR.
 loc:

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/fp16"
 	"repro/internal/zfp"
@@ -81,11 +82,16 @@ type Header struct {
 	Arrays []ArrayInfo `json:"arrays"`
 }
 
-// Writer serialises one checkpoint to an io.Writer.
+// Writer serialises one checkpoint to an io.Writer. Arrays are kept by
+// reference and encoded at Flush: a slice passed to an Add method must not
+// change until Flush returns.
 type Writer struct {
 	w      io.Writer
 	header Header
-	bodies [][]byte
+	// arrays holds one entry per directory entry: the caller's
+	// []float64, []float32, []fp16.Float16 or []int32, or the encoded
+	// bytes of a zfp field.
+	arrays []any
 }
 
 // NewWriter starts a checkpoint with the given identity metadata.
@@ -93,46 +99,22 @@ func NewWriter(w io.Writer, app string, step int, simTime float64) *Writer {
 	return &Writer{w: w, header: Header{App: app, Step: step, Time: simTime}}
 }
 
-// AddF64, AddF32, AddF16 and AddI32 append a named array at the given
-// encoding. Data is staged until Flush.
-func (cw *Writer) AddF64(name string, xs []float64) {
-	body := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(x))
-	}
-	cw.add(name, F64, len(xs), body)
-}
+// AddF64 appends a float64 array.
+func (cw *Writer) AddF64(name string, xs []float64) { cw.add(name, F64, len(xs), xs) }
 
 // AddF32 appends a float32 array.
-func (cw *Writer) AddF32(name string, xs []float32) {
-	body := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(x))
-	}
-	cw.add(name, F32, len(xs), body)
-}
+func (cw *Writer) AddF32(name string, xs []float32) { cw.add(name, F32, len(xs), xs) }
 
 // AddF16 appends a binary16 array.
-func (cw *Writer) AddF16(name string, xs []fp16.Float16) {
-	body := make([]byte, 2*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint16(body[2*i:], x.Bits())
-	}
-	cw.add(name, F16, len(xs), body)
-}
+func (cw *Writer) AddF16(name string, xs []fp16.Float16) { cw.add(name, F16, len(xs), xs) }
 
 // AddI32 appends an int32 array.
-func (cw *Writer) AddI32(name string, xs []int32) {
-	body := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(body[4*i:], uint32(x))
-	}
-	cw.add(name, I32, len(xs), body)
-}
+func (cw *Writer) AddI32(name string, xs []int32) { cw.add(name, I32, len(xs), xs) }
 
 // AddF64Compressed appends a 2-D float64 field compressed with the
 // fixed-rate zfp-style codec at `rate` bits per value — the lossy analysis
-// dump the paper's storage discussion contemplates (ref [34]).
+// dump the paper's storage discussion contemplates (ref [34]). The field is
+// compressed now; data may change once this returns.
 func (cw *Writer) AddF64Compressed(name string, data []float64, nx, ny, rate int) error {
 	buf, err := zfp.Compress2D(data, nx, ny, rate)
 	if err != nil {
@@ -141,45 +123,115 @@ func (cw *Writer) AddF64Compressed(name string, data []float64, nx, ny, rate int
 	cw.header.Arrays = append(cw.header.Arrays, ArrayInfo{
 		Name: name, Kind: ZFP2D, Len: nx * ny, Bytes: len(buf),
 	})
-	cw.bodies = append(cw.bodies, buf)
+	cw.arrays = append(cw.arrays, buf)
 	return nil
 }
 
-func (cw *Writer) add(name string, kind ElemKind, n int, body []byte) {
+func (cw *Writer) add(name string, kind ElemKind, n int, xs any) {
 	cw.header.Arrays = append(cw.header.Arrays, ArrayInfo{Name: name, Kind: kind, Len: n})
-	cw.bodies = append(cw.bodies, body)
+	cw.arrays = append(cw.arrays, xs)
 }
 
+// flushBufBytes is the size of the buffer Flush encodes through.
+const flushBufBytes = 16 << 10
+
+// flushBufs recycles Flush buffers, so a steady stream of checkpoints
+// allocates none.
+var flushBufs = sync.Pool{New: func() any {
+	b := make([]byte, flushBufBytes)
+	return &b
+}}
+
 // Flush writes the complete checkpoint and returns the total bytes written.
+// Everything is encoded through one fixed-size pooled buffer that is
+// written out whenever it fills, so what Flush allocates does not grow with
+// the arrays.
 func (cw *Writer) Flush() (int64, error) {
-	var total int64
-	n, err := cw.w.Write(Magic[:])
-	total += int64(n)
-	if err != nil {
-		return total, fmt.Errorf("checkpoint: magic: %w", err)
-	}
 	hdr, err := json.Marshal(cw.header)
 	if err != nil {
-		return total, fmt.Errorf("checkpoint: header: %w", err)
+		return 0, fmt.Errorf("checkpoint: header: %w", err)
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(hdr)))
-	if n, err = cw.w.Write(lenBuf[:]); err != nil {
-		return total + int64(n), fmt.Errorf("checkpoint: header length: %w", err)
-	}
-	total += int64(n)
-	if n, err = cw.w.Write(hdr); err != nil {
-		return total + int64(n), fmt.Errorf("checkpoint: header body: %w", err)
-	}
-	total += int64(n)
-	for i, body := range cw.bodies {
-		if n, err = cw.w.Write(body); err != nil {
-			return total + int64(n), fmt.Errorf("checkpoint: array %q: %w", cw.header.Arrays[i].Name, err)
+	bp := flushBufs.Get().(*[]byte)
+	defer flushBufs.Put(bp)
+	e := encoder{w: cw.w, buf: (*bp)[:0]}
+	e.buf = append(e.buf, Magic[:]...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(hdr)))
+	encode(&e, hdr, 1, copyBytes)
+	for _, a := range cw.arrays {
+		switch xs := a.(type) {
+		case []byte:
+			encode(&e, xs, 1, copyBytes)
+		case []float64:
+			encode(&e, xs, 8, func(dst []byte, xs []float64) {
+				for i, x := range xs {
+					binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+				}
+			})
+		case []float32:
+			encode(&e, xs, 4, func(dst []byte, xs []float32) {
+				for i, x := range xs {
+					binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
+				}
+			})
+		case []fp16.Float16:
+			encode(&e, xs, 2, func(dst []byte, xs []fp16.Float16) {
+				for i, x := range xs {
+					binary.LittleEndian.PutUint16(dst[2*i:], x.Bits())
+				}
+			})
+		case []int32:
+			encode(&e, xs, 4, func(dst []byte, xs []int32) {
+				for i, x := range xs {
+					binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
+				}
+			})
 		}
-		total += int64(n)
 	}
-	return total, nil
+	e.flush()
+	if e.err != nil {
+		return e.n, fmt.Errorf("checkpoint: write: %w", e.err)
+	}
+	return e.n, nil
 }
+
+// encoder batches Flush's output in a fixed buffer: buf holds the pending
+// bytes and its capacity is the whole buffer. After a write error it
+// drops everything.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	n   int64 // bytes written to w
+	err error
+}
+
+// flush writes out the pending bytes.
+func (e *encoder) flush() {
+	if e.err != nil || len(e.buf) == 0 {
+		return
+	}
+	n, err := e.w.Write(e.buf)
+	e.n += int64(n)
+	e.err = err
+	e.buf = e.buf[:0]
+}
+
+// encode appends xs at size bytes per element, put encoding as many whole
+// elements as the free part of the buffer holds at a time.
+func encode[T any](e *encoder, xs []T, size int, put func(dst []byte, xs []T)) {
+	for len(xs) > 0 && e.err == nil {
+		k := min(len(xs), (cap(e.buf)-len(e.buf))/size)
+		if k == 0 {
+			e.flush()
+			continue
+		}
+		n := len(e.buf)
+		e.buf = e.buf[:n+k*size]
+		put(e.buf[n:], xs[:k])
+		xs = xs[k:]
+	}
+}
+
+func copyBytes(dst, src []byte) { copy(dst, src) }
 
 // Checkpoint is a fully read checkpoint.
 type Checkpoint struct {

@@ -165,6 +165,9 @@ type Solver[S, C precision.Real] struct {
 	alloc     *metrics.AllocTracker
 	massDrift float64 // |mass(t)-mass(0)| / mass(0), updated by MassError
 	mass0     float64
+	// massTerms is Mass's scratch: the per-cell h·A addends, summed in
+	// place.
+	massTerms []float64
 
 	// Parallel runtime: the shared persistent pool, a reusable reduction
 	// for the CFL scan, and kernels prebound once at construction so the
@@ -268,9 +271,9 @@ func (s *Solver[S, C]) applyIC(ic InitialCondition) {
 
 // rebuildWorkspace resizes scratch arrays and the face list after the mesh
 // changes, and refreshes the memory accounting. All buffers are grow-only
-// and the face list rebuilds into its existing backing arrays, so at steady
-// state (and across adaptations that do not grow the mesh) the workspace
-// allocates nothing.
+// and the face list rebuilds into its existing backing arrays (once it owns
+// them), so at steady state (and across adaptations that do not grow the
+// mesh) the workspace allocates nothing.
 func (s *Solver[S, C]) rebuildWorkspace() {
 	n := s.mesh.NumCells()
 	s.dh = growSlice(s.dh, n)
@@ -350,11 +353,11 @@ func (s *Solver[S, C]) VelocityF64() (u, v []float64) {
 // summation of internal/reduce — the paper's §III.C practice of raising the
 // precision of global sums while the rest of the computation runs reduced.
 func (s *Solver[S, C]) Mass() float64 {
-	terms := make([]float64, len(s.h))
+	s.massTerms = growSlice(s.massTerms, len(s.h))
 	for i := range s.h {
-		terms[i] = float64(s.h[i]) * s.mesh.Area(i)
+		s.massTerms[i] = float64(s.h[i]) * s.mesh.Area(i)
 	}
-	return reduce.SumReproducible(terms)
+	return reduce.SumReproducibleInPlace(s.massTerms)
 }
 
 // MassError returns |mass(t) − mass(0)| / mass(0).
@@ -561,10 +564,11 @@ func modeLabel[S, C precision.Real]() string {
 	}
 }
 
-// adapt flags cells on relative height jumps (in parallel on the pool) and
-// rebuilds state across the resulting remap. The flag buffer and the remap
-// destinations are reused: each state array ping-pongs with its *Alt twin,
-// so adaptations that do not grow the mesh move no memory through the heap.
+// adapt flags cells on relative height jumps (in parallel on the pool),
+// moves to the adapted mesh and rebuilds state across the remap. The flag
+// buffer and the remap destinations are reused: each state array
+// ping-pongs with its *Alt twin, so adaptations that do not grow the mesh
+// move no state memory through the heap.
 func (s *Solver[S, C]) adapt() error {
 	n := s.mesh.NumCells()
 	s.flags = growSlice(s.flags, n)
@@ -573,6 +577,7 @@ func (s *Solver[S, C]) adapt() error {
 	if err != nil {
 		return fmt.Errorf("clamr: adapt: %w", err)
 	}
+	s.mesh = plan.Mesh
 	s.h, s.hAlt = mesh.ApplyRemapInto(s.hAlt, plan, s.h, s.prolong, s.restrict), s.h
 	s.hu, s.huAlt = mesh.ApplyRemapInto(s.huAlt, plan, s.hu, s.prolong, s.restrict), s.hu
 	s.hv, s.hvAlt = mesh.ApplyRemapInto(s.hvAlt, plan, s.hv, s.prolong, s.restrict), s.hv
@@ -634,11 +639,14 @@ func (s *Solver[S, C]) WriteCheckpoint(w io.Writer) (int64, error) {
 	return nBytes, nil
 }
 
-// addState writes a state array at its native storage width.
+// addState writes a state array at its native storage width. The writer
+// reads the solver's own array at Flush.
 func addState[S precision.Real](cw *checkpoint.Writer, name string, xs []S) {
-	switch any(xs).(type) {
+	switch v := any(xs).(type) {
 	case []float32:
-		cw.AddF32(name, any(xs).([]float32))
+		cw.AddF32(name, v)
+	case []float64:
+		cw.AddF64(name, v)
 	default:
 		out := make([]float64, len(xs))
 		for i, x := range xs {

@@ -25,17 +25,25 @@ type faceList[C precision.Real] struct {
 	bLen  []C
 	// Per-cell inverse area at compute precision.
 	invArea []C
+	// shared marks arrays that belong to a construction template, read by
+	// every solver copied from it: rebuild must not write them.
+	shared bool
 }
 
 // rebuild re-enumerates every face of the mesh exactly once, appending into
 // the list's existing backing arrays (resliced to zero length first), so a
 // rebuild after an adaptation that did not grow the mesh allocates nothing.
+// A shared list first lets go of its arrays, so its rebuild allocates
+// fresh ones the solver then owns.
 //
 // Emission rule per cell i and neighbor n: Right/Top sides emit when
 // level(i) ≥ level(n); Left/Bottom sides emit when level(i) > level(n).
 // Same-level faces are emitted by the left/bottom cell; coarse–fine faces
 // by the fine cell. Sides with no neighbor are domain boundary.
 func (fl *faceList[C]) rebuild(m *mesh.Mesh) {
+	if fl.shared {
+		*fl = faceList[C]{}
+	}
 	n := m.NumCells()
 	fl.invArea = growSlice(fl.invArea, n)
 	fl.xl, fl.xr, fl.xlen = fl.xl[:0], fl.xr[:0], fl.xlen[:0]

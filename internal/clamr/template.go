@@ -17,10 +17,11 @@ import (
 // run-time fields (Kernel, Workers, AMRInterval, DryTol, Gravity, Courant)
 // and the step count are read only by the step loop, and they are exactly
 // what campaign axes and unique specs vary. So NewDamBreak builds a small
-// shape once, keeps a runtime-less copy, and hands every later job of that
-// shape a deep copy of it with a fresh runtime bound to the job's own
-// Config: a few memory copies instead of mesh construction, initial
-// adaptation and face enumeration, and a fraction of the garbage.
+// shape once, keeps it as a runtime-less template, and hands every job of
+// that shape a copy with a fresh runtime bound to the job's own Config. A
+// copy shares the template's mesh and face list, which are read-only, and
+// copies only the three state arrays it steps: three memory copies instead
+// of mesh construction, initial adaptation and face enumeration.
 const (
 	// templateStoreBytes caps the process-wide store; the least recently
 	// used template is evicted first.
@@ -87,7 +88,8 @@ func NewDamBreak(mode precision.Mode, cfg Config) (Runner, error) {
 
 // fromTemplate returns a solver for cfg (defaults applied) built from the
 // stored template of its shape. On a miss it constructs the solver and,
-// when small enough, stores a copy of its construction as the template.
+// when small enough, makes that construction the template and the job its
+// first copy.
 func fromTemplate[S, C precision.Real](mode precision.Mode, cfg Config) (*Solver[S, C], error) {
 	key := keyOf(mode, cfg)
 	if t, ok := templates.get(key); ok {
@@ -97,39 +99,57 @@ func fromTemplate[S, C precision.Real](mode precision.Mode, cfg Config) (*Solver
 	if err != nil {
 		return nil, err
 	}
-	if size := s.footprint(); size <= templateMaxBytes {
-		templates.put(key, s.construction(), size)
+	size := s.footprint()
+	if size > templateMaxBytes {
+		return s, nil
 	}
-	return s, nil
+	t := s.construction()
+	templates.put(key, t, size)
+	return t.instantiate(cfg), nil
 }
 
-// construction returns a runtime-less deep copy of what NewSolver built:
-// the mesh, the state arrays, the face list, the counters and mass(0). It
-// is never stepped; instantiate turns a copy of it into a solver.
+// construction takes over what NewSolver built into s — the mesh, the state
+// arrays, the face list, the counters and mass(0) — as a runtime-less
+// template, which is never stepped. s must not be used afterwards.
 func (s *Solver[S, C]) construction() *Solver[S, C] {
-	return &Solver[S, C]{
+	t := &Solver[S, C]{
 		cfg:      s.cfg,
-		mesh:     s.mesh.Clone(),
-		h:        slices.Clone(s.h),
-		hu:       slices.Clone(s.hu),
-		hv:       slices.Clone(s.hv),
-		faces:    s.faces.clone(),
+		mesh:     s.mesh,
+		h:        s.h,
+		hu:       s.hu,
+		hv:       s.hv,
+		faces:    s.faces,
 		counters: s.counters,
 		mass0:    s.mass0,
 	}
+	t.faces.shared = true
+	return t
 }
 
-// instantiate copies template t into a runnable solver for cfg: fresh
-// timer, pool, dry floor and bound kernels from cfg, zeroed RHS scratch
-// and the same memory accounting NewSolver registers.
+// instantiate returns a runnable solver for cfg on template t. The copy
+// shares t's mesh and face list, which no solver writes (Adapt returns a
+// new mesh; a shared face list rebuilds into new arrays), and copies only
+// the state it steps. It gets zeroed RHS scratch, a fresh timer, pool, dry
+// floor and bound kernels from cfg, and the memory accounting NewSolver
+// registers.
 func (t *Solver[S, C]) instantiate(cfg Config) *Solver[S, C] {
-	s := t.construction()
-	s.cfg = cfg
-	s.timer = metrics.NewTimer()
-	s.alloc = metrics.NewAllocTracker()
+	n := len(t.h)
+	s := &Solver[S, C]{
+		cfg:      cfg,
+		mesh:     t.mesh,
+		h:        slices.Clone(t.h),
+		hu:       slices.Clone(t.hu),
+		hv:       slices.Clone(t.hv),
+		dh:       make([]S, n),
+		dhu:      make([]S, n),
+		dhv:      make([]S, n),
+		faces:    t.faces,
+		counters: t.counters,
+		mass0:    t.mass0,
+		timer:    metrics.NewTimer(),
+		alloc:    metrics.NewAllocTracker(),
+	}
 	s.initRuntime()
-	n := len(s.h)
-	s.dh, s.dhu, s.dhv = make([]S, n), make([]S, n), make([]S, n)
 	s.account()
 	return s
 }
@@ -145,21 +165,12 @@ func (s *Solver[S, C]) footprint() int64 {
 	return s.mesh.Footprint() + 3*n*sz + interior*(8+cz) + boundary*(4+8+cz) + n*cz
 }
 
-// clone deep-copies the face list.
-func (fl *faceList[C]) clone() faceList[C] {
-	return faceList[C]{
-		xl: slices.Clone(fl.xl), xr: slices.Clone(fl.xr), xlen: slices.Clone(fl.xlen),
-		yb: slices.Clone(fl.yb), yt: slices.Clone(fl.yt), ylen: slices.Clone(fl.ylen),
-		bCell: slices.Clone(fl.bCell), bSide: slices.Clone(fl.bSide), bLen: slices.Clone(fl.bLen),
-		invArea: slices.Clone(fl.invArea),
-	}
-}
-
 // templates is the process-wide template store.
 var templates = newTemplateStore(templateStoreBytes)
 
 // templateStore is a byte-capped LRU of templates. Templates are read-only
-// once stored, so concurrent instantiation needs no lock beyond the lookup.
+// once stored — and so are the mesh and face list their copies share — so
+// concurrent instantiation needs no lock beyond the lookup.
 type templateStore struct {
 	mu       sync.Mutex
 	maxBytes int64

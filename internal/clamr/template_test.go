@@ -3,9 +3,11 @@ package clamr
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/precision"
 )
 
@@ -334,4 +336,103 @@ func TestTemplateStoreConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// frozen is a deep copy of everything a template holds that its copies
+// read: the mesh's leaves and neighbors, the face list, the state and
+// mass(0). at records where each of those arrays lives, compared by
+// identity: a copy must neither write the template's arrays nor swap them
+// for others, even ones holding equal values.
+type frozen struct {
+	Cells []mesh.Cell
+	Nbrs  []mesh.Neighbors
+	Faces []any
+	State []any
+	Mass0 float64
+	at    []any
+}
+
+func freeze[S, C precision.Real](s *Solver[S, C]) frozen {
+	m := s.mesh
+	f := frozen{Cells: slices.Clone(m.Cells()), Mass0: s.mass0}
+	for i := 0; i < m.NumCells(); i++ {
+		f.Nbrs = append(f.Nbrs, *m.Neighbors(i))
+	}
+	fl := &s.faces
+	f.Faces = []any{
+		slices.Clone(fl.xl), slices.Clone(fl.xr), slices.Clone(fl.xlen),
+		slices.Clone(fl.yb), slices.Clone(fl.yt), slices.Clone(fl.ylen),
+		slices.Clone(fl.bCell), slices.Clone(fl.bSide), slices.Clone(fl.bLen),
+		slices.Clone(fl.invArea),
+	}
+	f.State = []any{slices.Clone(s.h), slices.Clone(s.hu), slices.Clone(s.hv)}
+	f.at = []any{
+		&m.Cells()[0], m.Neighbors(0),
+		&fl.xl[0], &fl.xr[0], &fl.xlen[0], &fl.yb[0], &fl.yt[0], &fl.ylen[0],
+		&fl.bCell[0], &fl.bSide[0], &fl.bLen[0], &fl.invArea[0],
+		&s.h[0], &s.hu[0], &s.hv[0],
+	}
+	return f
+}
+
+// storedTemplate returns the stored template of mode and cfg, frozen, and
+// its mesh.
+func storedTemplate(t *testing.T, mode precision.Mode, cfg Config) (frozen, *mesh.Mesh) {
+	t.Helper()
+	tmpl, ok := templates.get(keyOf(mode, cfg))
+	if !ok {
+		t.Fatalf("%v: no template stored", mode)
+	}
+	switch s := tmpl.(type) {
+	case *Solver[float32, float32]:
+		return freeze(s), s.mesh
+	case *Solver[float32, float64]:
+		return freeze(s), s.mesh
+	case *Solver[float64, float64]:
+		return freeze(s), s.mesh
+	}
+	panic("unknown template type")
+}
+
+// TestTemplateSurvivesItsCopiesAdapting: copies share the template's mesh
+// and face list, so a copy that adapts (every 2 steps here; the tiny mesh
+// changes from the third adaptation on) must move to a mesh and face
+// arrays of its own and leave the template's cells, neighbors, faces and
+// state exactly as and where they were.
+func TestTemplateSurvivesItsCopiesAdapting(t *testing.T) {
+	isolateTemplates(t)
+	for _, mode := range []precision.Mode{precision.Half, precision.Min, precision.Mixed, precision.Full} {
+		for _, kernel := range []Kernel{KernelCell, KernelFace} {
+			cfg := tinyConfig()
+			cfg.Kernel = kernel
+			if _, err := NewDamBreak(mode, cfg); err != nil { // the miss stores the template
+				t.Fatal(err)
+			}
+			before, tmplMesh := storedTemplate(t, mode, cfg)
+			for i := 0; i < 2; i++ {
+				r, err := NewDamBreak(mode, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Mesh() != tmplMesh {
+					t.Fatalf("%v/%v: a fresh copy does not share the template's mesh", mode, kernel)
+				}
+				if err := r.Run(13); err != nil {
+					t.Fatal(err)
+				}
+				if r.Mesh().NumCells() == tmplMesh.NumCells() {
+					t.Fatalf("%v/%v: the copy's mesh never changed, so this test shows nothing", mode, kernel)
+				}
+			}
+			after, _ := storedTemplate(t, mode, cfg)
+			if !reflect.DeepEqual(after, before) {
+				t.Errorf("%v/%v: copies that adapted changed their template", mode, kernel)
+			}
+			for k := range before.at {
+				if after.at[k] != before.at[k] {
+					t.Errorf("%v/%v: copies that adapted moved the template's array %d", mode, kernel, k)
+				}
+			}
+		}
+	}
 }

@@ -18,6 +18,8 @@ const (
 // Remap describes how solver state moves from the pre-Adapt mesh to the
 // post-Adapt mesh. Operations are disjoint and cover every new cell.
 type Remap struct {
+	// Mesh is the post-Adapt mesh the New indices refer to.
+	Mesh *Mesh
 	// Copies maps old cell index → new cell index for unchanged cells.
 	Copies []CopyOp
 	// Refines maps one old cell to its four new children (SW, SE, NW, NE).
@@ -45,7 +47,9 @@ type CoarsenOp struct {
 
 // Adapt applies per-cell refinement flags, enforcing 2:1 balance (balance
 // propagation may refine cells that were not flagged, and may veto
-// coarsening). It rebuilds the mesh and returns the state remap plan.
+// coarsening). It returns the state remap plan, whose Mesh is the adapted
+// mesh, built into fresh storage: m itself is left untouched, so a mesh
+// shared by several solvers stays valid for all of them.
 //
 // flags must have one entry per current cell.
 func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
@@ -198,23 +202,21 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 	}
 	plan.NewLen = len(newCells)
 
-	m.cells = newCells
-	m.rebuild()
+	next := *m
+	next.cells = newCells
+	next.rebuild()
+	plan.Mesh = &next
 	return plan, nil
 }
 
-// ApplyRemap transfers per-cell state across an Adapt. prolong maps a parent
-// value to its four children (SW, SE, NW, NE); restrict merges four child
-// values into the parent. For conserved cell-averaged quantities, prolong is
-// usually injection (copy) and restrict the arithmetic mean.
-func ApplyRemap[S any](plan *Remap, old []S, prolong func(S) [4]S, restrict func([4]S) S) []S {
-	return ApplyRemapInto(nil, plan, old, prolong, restrict)
-}
-
-// ApplyRemapInto is ApplyRemap writing into dst, reusing dst's backing array
-// when its capacity suffices (dst must not alias old). It returns the
-// resized destination, letting a solver ping-pong two state buffers across
-// adaptations instead of reallocating per remap.
+// ApplyRemapInto transfers per-cell state across an Adapt into dst,
+// reusing dst's backing array when its capacity suffices (dst must not
+// alias old; nil allocates). It returns the resized destination, letting a
+// solver ping-pong two state buffers across adaptations instead of
+// reallocating per remap. prolong maps a parent value to its four children
+// (SW, SE, NW, NE); restrict merges four child values into the parent. For
+// conserved cell-averaged quantities, prolong is usually injection (copy)
+// and restrict the arithmetic mean.
 func ApplyRemapInto[S any](dst []S, plan *Remap, old []S, prolong func(S) [4]S, restrict func([4]S) S) []S {
 	var out []S
 	if cap(dst) >= plan.NewLen {

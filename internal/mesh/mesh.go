@@ -11,9 +11,7 @@ package mesh
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"unsafe"
 )
 
@@ -82,11 +80,15 @@ type Neighbors struct {
 // On returns the neighbor indices on the given side.
 func (n *Neighbors) On(s Side) []int32 { return n.Cells[s][:n.Counts[s]] }
 
-// Mesh is a 2:1-balanced cell-based AMR mesh.
+// Mesh is a 2:1-balanced cell-based AMR mesh. A mesh is never modified
+// once built: Adapt returns the adapted mesh as a new value, so any number
+// of solvers may read one mesh concurrently.
 type Mesh struct {
 	coarseNX, coarseNY int
 	maxLevel           int
 	bounds             Bounds
+	// cellSize holds {dx, dy} per refinement level, 0..maxLevel.
+	cellSize [][2]float64
 
 	cells []Cell
 	index map[uint64]int32
@@ -109,6 +111,13 @@ func New(nx, ny, maxLevel int, bounds Bounds) (*Mesh, error) {
 		return nil, fmt.Errorf("mesh: degenerate bounds %+v", bounds)
 	}
 	m := &Mesh{coarseNX: nx, coarseNY: ny, maxLevel: maxLevel, bounds: bounds}
+	m.cellSize = make([][2]float64, maxLevel+1)
+	for l := range m.cellSize {
+		m.cellSize[l] = [2]float64{
+			bounds.Width() / float64(int64(nx)<<uint(l)),
+			bounds.Height() / float64(int64(ny)<<uint(l)),
+		}
+	}
 	m.cells = make([]Cell, 0, nx*ny)
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
@@ -133,18 +142,6 @@ func FromCells(nx, ny, maxLevel int, bounds Bounds, cells []Cell) (*Mesh, error)
 		return nil, fmt.Errorf("mesh: restored cell list invalid: %w", err)
 	}
 	return m, nil
-}
-
-// Clone returns an independent copy of the mesh: leaves, hash index and
-// neighbor cache are copied rather than rebuilt, so cloning costs a few
-// memory copies where New plus adaptation costs a hash probe per side per
-// cell. Adapting the clone leaves m untouched.
-func (m *Mesh) Clone() *Mesh {
-	c := *m
-	c.cells = slices.Clone(m.cells)
-	c.index = maps.Clone(m.index)
-	c.nbrs = slices.Clone(m.nbrs)
-	return &c
 }
 
 // Footprint estimates the bytes the mesh holds: the leaf list, the
@@ -182,11 +179,11 @@ func (m *Mesh) Lookup(i, j int32, level int8) int32 {
 	return -1
 }
 
-// CellSize returns the physical cell dimensions at a refinement level.
+// CellSize returns the physical cell dimensions at a refinement level in
+// [0, MaxLevel], from the table New fills.
 func (m *Mesh) CellSize(level int8) (dx, dy float64) {
-	nx := float64(int64(m.coarseNX) << uint(level))
-	ny := float64(int64(m.coarseNY) << uint(level))
-	return m.bounds.Width() / nx, m.bounds.Height() / ny
+	sz := m.cellSize[level]
+	return sz[0], sz[1]
 }
 
 // Center returns the physical center of the leaf with the given index.
@@ -203,8 +200,8 @@ func (m *Mesh) Area(idx int) float64 {
 }
 
 // Neighbors returns the cached adjacency of the leaf with the given index.
-// The returned pointer aliases mesh-internal storage valid until the next
-// Adapt.
+// The returned pointer aliases mesh-internal storage; callers must not
+// modify it.
 func (m *Mesh) Neighbors(idx int) *Neighbors { return &m.nbrs[idx] }
 
 // levelNX returns the grid dimensions at a level.
@@ -212,7 +209,8 @@ func (m *Mesh) levelDims(level int8) (nx, ny int32) {
 	return int32(int64(m.coarseNX) << uint(level)), int32(int64(m.coarseNY) << uint(level))
 }
 
-// rebuild reconstructs the hash index and the neighbor cache from m.cells.
+// rebuild builds the hash index and the neighbor cache from m.cells into
+// fresh storage.
 func (m *Mesh) rebuild() {
 	m.index = make(map[uint64]int32, len(m.cells))
 	for idx, c := range m.cells {

@@ -3,6 +3,7 @@ package mesh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -13,6 +14,16 @@ func mustMesh(t *testing.T, nx, ny, maxLevel int) *Mesh {
 		t.Fatalf("New: %v", err)
 	}
 	return m
+}
+
+// mustAdapt adapts m and returns the adapted mesh and the remap plan.
+func mustAdapt(t *testing.T, m *Mesh, flags []RefineFlag) (*Mesh, *Remap) {
+	t.Helper()
+	plan, err := m.Adapt(flags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Mesh, plan
 }
 
 func validate(t *testing.T, m *Mesh, context string) {
@@ -127,10 +138,7 @@ func TestRefineSingleCell(t *testing.T) {
 	m := mustMesh(t, 2, 2, 2)
 	flags := make([]RefineFlag, m.NumCells())
 	flags[0] = Refine
-	plan, err := m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan := mustAdapt(t, m, flags)
 	if m.NumCells() != 7 { // 3 kept + 4 children
 		t.Fatalf("NumCells = %d after refining one of four", m.NumCells())
 	}
@@ -173,9 +181,7 @@ func TestBalancePropagation(t *testing.T) {
 	m := mustMesh(t, 4, 4, 3)
 	flags := make([]RefineFlag, m.NumCells())
 	flags[m.Lookup(1, 1, 0)] = Refine
-	if _, err := m.Adapt(flags); err != nil {
-		t.Fatal(err)
-	}
+	m, _ = mustAdapt(t, m, flags)
 	validate(t, m, "first refine")
 	// Now refine the SW child (2,2,1) — neighbors (0,1,0) and (1,0,0)
 	// at level 0 touch it and must be forced to level 1.
@@ -185,10 +191,7 @@ func TestBalancePropagation(t *testing.T) {
 	}
 	flags = make([]RefineFlag, m.NumCells())
 	flags[idx] = Refine
-	plan, err := m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan := mustAdapt(t, m, flags)
 	validate(t, m, "second refine with propagation")
 	if len(plan.Refines) < 3 {
 		t.Errorf("expected balance propagation to refine ≥3 cells, got %d", len(plan.Refines))
@@ -209,9 +212,7 @@ func TestCoarsenRequiresAllSiblings(t *testing.T) {
 	for i := range flags {
 		flags[i] = Refine
 	}
-	if _, err := m.Adapt(flags); err != nil {
-		t.Fatal(err)
-	}
+	m, _ = mustAdapt(t, m, flags)
 	if m.NumCells() != 16 {
 		t.Fatalf("refine all: %d cells", m.NumCells())
 	}
@@ -221,10 +222,7 @@ func TestCoarsenRequiresAllSiblings(t *testing.T) {
 	for _, idx := range group[:3] {
 		flags[idx] = Coarsen
 	}
-	plan, err := m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan := mustAdapt(t, m, flags)
 	if len(plan.Coarsens) != 0 || m.NumCells() != 16 {
 		t.Errorf("partial sibling group coarsened: %d ops, %d cells", len(plan.Coarsens), m.NumCells())
 	}
@@ -233,10 +231,7 @@ func TestCoarsenRequiresAllSiblings(t *testing.T) {
 	for _, idx := range group {
 		flags[m.Lookup(m.Cell(int(idx)).I, m.Cell(int(idx)).J, 1)] = Coarsen
 	}
-	plan, err = m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan = mustAdapt(t, m, flags)
 	if len(plan.Coarsens) != 1 || m.NumCells() != 13 {
 		t.Errorf("full sibling group: %d ops, %d cells", len(plan.Coarsens), m.NumCells())
 	}
@@ -251,14 +246,10 @@ func TestCoarsenVetoedByBalance(t *testing.T) {
 	for i := range flags {
 		flags[i] = Refine // all to level 1
 	}
-	if _, err := m.Adapt(flags); err != nil {
-		t.Fatal(err)
-	}
+	m, _ = mustAdapt(t, m, flags)
 	flags = make([]RefineFlag, m.NumCells())
 	flags[m.Lookup(2, 0, 1)] = Refine // one cell to level 2
-	if _, err := m.Adapt(flags); err != nil {
-		t.Fatal(err)
-	}
+	m, _ = mustAdapt(t, m, flags)
 	validate(t, m, "mixed levels")
 	// Coarsening the sibling group under parent (0,0,0) would put a
 	// level-0 cell face-to-face with the level-2 children of (2,0,1):
@@ -272,10 +263,7 @@ func TestCoarsenVetoedByBalance(t *testing.T) {
 		}
 		flags[idx] = Coarsen
 	}
-	plan, err := m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan := mustAdapt(t, m, flags)
 	if granted := len(plan.Coarsens); granted != 0 {
 		t.Errorf("coarsening next to level-2 cells was granted (%d ops)", granted)
 	}
@@ -289,10 +277,7 @@ func TestCoarsenVetoedByBalance(t *testing.T) {
 		}
 		flags[idx] = Coarsen
 	}
-	plan, err = m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan = mustAdapt(t, m, flags)
 	if len(plan.Coarsens) != 1 {
 		t.Errorf("legal coarsening was not granted (%d ops)", len(plan.Coarsens))
 	}
@@ -317,12 +302,10 @@ func TestApplyRemapConservesMass(t *testing.T) {
 		for i := range flags {
 			flags[i] = RefineFlag(rng.Intn(3) - 1)
 		}
-		plan, err := m.Adapt(flags)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var plan *Remap
+		m, plan = mustAdapt(t, m, flags)
 		validate(t, m, "random adapt round")
-		state = ApplyRemap(plan, state, InjectProlong[float64](), MeanRestrict[float64]())
+		state = ApplyRemapInto(nil, plan, state, InjectProlong[float64](), MeanRestrict[float64]())
 		if len(state) != m.NumCells() {
 			t.Fatalf("state length %d != %d cells", len(state), m.NumCells())
 		}
@@ -336,9 +319,9 @@ func TestApplyRemapConservesMass(t *testing.T) {
 	}
 }
 
-// TestApplyRemapIntoReusesAndMatches verifies the in-place variant: output
-// identical to ApplyRemap, the destination backing array reused when its
-// capacity suffices, and allocation only when it does not.
+// TestApplyRemapIntoReusesAndMatches verifies destination reuse: output
+// identical to a remap into a fresh array, the destination backing array
+// reused when its capacity suffices, and allocation only when it does not.
 func TestApplyRemapIntoReusesAndMatches(t *testing.T) {
 	m := mustMesh(t, 4, 4, 2)
 	state := make([]float64, m.NumCells())
@@ -352,11 +335,9 @@ func TestApplyRemapIntoReusesAndMatches(t *testing.T) {
 		for i := range flags {
 			flags[i] = RefineFlag(rng.Intn(3) - 1)
 		}
-		plan, err := m.Adapt(flags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ApplyRemap(plan, state, InjectProlong[float64](), MeanRestrict[float64]())
+		var plan *Remap
+		m, plan = mustAdapt(t, m, flags)
+		want := ApplyRemapInto(nil, plan, state, InjectProlong[float64](), MeanRestrict[float64]())
 		got := ApplyRemapInto(dst, plan, state, InjectProlong[float64](), MeanRestrict[float64]())
 		if len(got) != len(want) {
 			t.Fatalf("round %d: length %d != %d", round, len(got), len(want))
@@ -377,10 +358,7 @@ func TestApplyRemapIntoReusesAndMatches(t *testing.T) {
 	for i := range flags {
 		flags[i] = Refine
 	}
-	plan, err := m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan := mustAdapt(t, m, flags)
 	got := ApplyRemapInto(nil, plan, state, InjectProlong[float64](), MeanRestrict[float64]())
 	if len(got) != plan.NewLen {
 		t.Fatalf("nil-destination length %d != %d", len(got), plan.NewLen)
@@ -391,9 +369,7 @@ func TestContainingCellAndRasterize(t *testing.T) {
 	m := mustMesh(t, 2, 2, 1)
 	flags := make([]RefineFlag, m.NumCells())
 	flags[m.Lookup(0, 0, 0)] = Refine
-	if _, err := m.Adapt(flags); err != nil {
-		t.Fatal(err)
-	}
+	m, _ = mustAdapt(t, m, flags)
 	// Point deep in the refined quadrant hits a level-1 cell.
 	idx := m.ContainingCell(0.1, 0.1)
 	if idx < 0 || m.Cell(int(idx)).Level != 1 {
@@ -441,9 +417,7 @@ func TestMaxActiveLevelAndAccessors(t *testing.T) {
 	}
 	flags := make([]RefineFlag, m.NumCells())
 	flags[0] = Refine
-	if _, err := m.Adapt(flags); err != nil {
-		t.Fatal(err)
-	}
+	m, _ = mustAdapt(t, m, flags)
 	if m.MaxActiveLevel() != 1 {
 		t.Errorf("MaxActiveLevel = %d", m.MaxActiveLevel())
 	}
@@ -467,10 +441,7 @@ func TestRefinementAtMaxLevelIsClamped(t *testing.T) {
 	for i := range flags {
 		flags[i] = Refine
 	}
-	plan, err := m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan := mustAdapt(t, m, flags)
 	if len(plan.Refines) != 0 || m.NumCells() != 4 {
 		t.Error("refinement beyond maxLevel was not clamped")
 	}
@@ -478,10 +449,7 @@ func TestRefinementAtMaxLevelIsClamped(t *testing.T) {
 	for i := range flags {
 		flags[i] = Coarsen
 	}
-	plan, err = m.Adapt(flags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, plan = mustAdapt(t, m, flags)
 	if len(plan.Coarsens) != 0 {
 		t.Error("coarsening below level 0 was not clamped")
 	}
@@ -501,9 +469,7 @@ func TestDeepRandomAdaptStaysValid(t *testing.T) {
 				flags[i] = Coarsen
 			}
 		}
-		if _, err := m.Adapt(flags); err != nil {
-			t.Fatal(err)
-		}
+		m, _ = mustAdapt(t, m, flags)
 		validate(t, m, "deep random adapt")
 	}
 	if m.NumCells() > 4*4<<(2*3) {
@@ -532,9 +498,11 @@ func BenchmarkNeighborRebuild(b *testing.B) {
 			flags[i] = Refine
 		}
 	}
-	if _, err := m.Adapt(flags); err != nil {
+	plan, err := m.Adapt(flags)
+	if err != nil {
 		b.Fatal(err)
 	}
+	m = plan.Mesh
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.rebuild()
@@ -555,21 +523,59 @@ func BenchmarkAdaptCycle(b *testing.B) {
 	}
 }
 
-func TestMeshCloneIsIndependent(t *testing.T) {
-	m, err := New(8, 8, 1, UnitBounds)
-	if err != nil {
-		t.Fatal(err)
+// TestAdaptLeavesItsMeshUntouched: adapting returns a new mesh and leaves
+// the one adapted — its leaves, index and neighbors — exactly as it was,
+// which is what lets solvers share one construction.
+func TestAdaptLeavesItsMeshUntouched(t *testing.T) {
+	m := mustMesh(t, 8, 8, 2)
+	flags := make([]RefineFlag, m.NumCells())
+	flags[0], flags[9] = Refine, Refine
+	m, _ = mustAdapt(t, m, flags)
+	cells := slices.Clone(m.Cells())
+	nbrs := make([]Neighbors, m.NumCells())
+	for i := range nbrs {
+		nbrs[i] = *m.Neighbors(i)
 	}
-	c := m.Clone()
-	flags := make([]RefineFlag, c.NumCells())
-	flags[0] = Refine
-	if _, err := c.Adapt(flags); err != nil {
-		t.Fatal(err)
+	flags = make([]RefineFlag, m.NumCells())
+	for i := range flags {
+		flags[i] = RefineFlag(i%3 - 1)
 	}
-	if m.NumCells() != 64 || c.NumCells() == 64 {
-		t.Fatalf("cells: original %d, clone %d after refining the clone", m.NumCells(), c.NumCells())
+	next, _ := mustAdapt(t, m, flags)
+	if next == m || next.NumCells() == m.NumCells() {
+		t.Fatalf("adapt returned the same mesh or an unchanged cell count (%d cells)", next.NumCells())
 	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
+	validate(t, m, "the adapted-from mesh")
+	if !slices.Equal(m.Cells(), cells) {
+		t.Error("adapting rewrote the leaves of the mesh it adapted")
+	}
+	for i := range nbrs {
+		if *m.Neighbors(i) != nbrs[i] {
+			t.Fatalf("adapting rewrote cell %d's neighbors", i)
+		}
+	}
+	for i, c := range cells {
+		if m.Lookup(c.I, c.J, c.Level) != int32(i) {
+			t.Fatalf("adapting rewrote the index entry of cell %d", i)
+		}
+	}
+}
+
+// TestCellSizeTableMatchesTheFormula: the per-level table New fills is
+// bit-equal to width/(nx·2^l), height/(ny·2^l) at every level, on bounds
+// that are neither unit nor origin-anchored.
+func TestCellSizeTableMatchesTheFormula(t *testing.T) {
+	b := Bounds{XMin: -1.3, XMax: 2.9, YMin: 0.7, YMax: 3.1}
+	for _, g := range [][3]int{{3, 5, 6}, {16, 16, 1}, {7, 2, MaxRefineLevel}} {
+		m, err := New(g[0], g[1], g[2], b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l <= g[2]; l++ {
+			wantDX := b.Width() / float64(int64(g[0])<<uint(l))
+			wantDY := b.Height() / float64(int64(g[1])<<uint(l))
+			if dx, dy := m.CellSize(int8(l)); dx != wantDX || dy != wantDY {
+				t.Errorf("%dx%d level %d: CellSize = (%x, %x), want (%x, %x)", g[0], g[1], l, dx, dy, wantDX, wantDY)
+			}
+		}
 	}
 }

@@ -28,6 +28,7 @@ func TestPropertyAdaptPreservesInvariants(t *testing.T) {
 				t.Logf("adapt error: %v", err)
 				return false
 			}
+			m = plan.Mesh
 			if err := m.Validate(); err != nil {
 				t.Logf("validate: %v", err)
 				return false
@@ -92,9 +93,11 @@ func TestPropertyContainingCellConsistent(t *testing.T) {
 			flags[i] = Refine
 		}
 	}
-	if _, err := m.Adapt(flags); err != nil {
+	plan, err := m.Adapt(flags)
+	if err != nil {
 		t.Fatal(err)
 	}
+	m = plan.Mesh
 	prop := func(fx, fy float64) bool {
 		x := -1 + 4*frac(fx)
 		y := 0 + 2*frac(fy)

@@ -419,3 +419,37 @@ func BenchmarkSumMethods(b *testing.B) {
 		})
 	}
 }
+
+// TestSumReproducibleInPlaceMatches: summing in place gives the same bits
+// as summing a copy, on well-scaled, cancelling, tiny and special inputs,
+// and SumReproducible leaves its input as it was.
+func TestSumReproducibleInPlaceMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	inputs := [][]float64{
+		{},
+		{0, 0},
+		{1, math.Inf(1), 2},
+		{math.NaN(), 1},
+		{5e-324, 5e-324, -1e-310},
+	}
+	for _, n := range []int{1, 7, 1000} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(80)-40)
+		}
+		inputs = append(inputs, xs)
+	}
+	for k, xs := range inputs {
+		orig := append([]float64(nil), xs...)
+		want := SumReproducible(xs)
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("input %d: SumReproducible modified element %d", k, i)
+			}
+		}
+		got := SumReproducibleInPlace(xs)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("input %d: in place %x, copied %x", k, got, want)
+		}
+	}
+}

@@ -12,6 +12,7 @@ package reduce
 
 import (
 	"math"
+	"slices"
 )
 
 // Method identifies a summation algorithm.
@@ -167,8 +168,16 @@ func SumDoubleDouble(xs []float64) DD {
 // (Demmel & Nguyen's 1-reduction scheme), so that the subsequent additions
 // are exact in float64 and therefore order-independent. The discarded low
 // bits are themselves summed the same way at a finer boundary, in up to
-// three folds, recovering near-full accuracy.
+// three folds, recovering near-full accuracy. xs is not modified.
 func SumReproducible(xs []float64) float64 {
+	return SumReproducibleInPlace(slices.Clone(xs))
+}
+
+// SumReproducibleInPlace is SumReproducible computed in xs itself: the
+// folds overwrite it with their remainders instead of a copy. A caller that
+// fills a scratch buffer with the addends of one sum saves the copy and the
+// allocation; the result is bit-identical.
+func SumReproducibleInPlace(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -199,8 +208,7 @@ func SumReproducible(xs []float64) float64 {
 	const folds = 3
 	var total DD
 	boundary := math.Ldexp(1, ilogb(maxAbs)-foldBits+1)
-	rem := make([]float64, n)
-	copy(rem, xs)
+	rem := xs
 	for f := 0; f < folds; f++ {
 		var s float64 // exact: all addends share the boundary's grid
 		allZero := true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -141,6 +142,36 @@ func TestRestartThroughRunner(t *testing.T) {
 		if resumed.StateHash != uninterrupted.StateHash {
 			t.Errorf("%s: restart diverged: state hash %s after resume, %s uninterrupted",
 				full.App, resumed.StateHash, uninterrupted.StateHash)
+		}
+	}
+}
+
+// TestTinyRunByteCeiling bounds what one campaign-sized CLAMR run (16²
+// cells, one AMR level, five steps) allocates once its shape's template
+// is stored: copies share the template's mesh and face list, the state
+// hash streams the checkpoint, and mass sums reuse their scratch, so a run
+// allocates little beyond its own state. Deep-copying templates and staging
+// checkpoints cost 117–162 KB per run.
+func TestTinyRunByteCeiling(t *testing.T) {
+	const ceiling = 60 << 10
+	for _, mode := range []string{"min", "mixed", "full", "half"} {
+		spec := ExperimentSpec{App: AppCLAMR, Mode: mode, Steps: 5, NX: 16, NY: 16, MaxLevel: 1}
+		run := func(i int) {
+			spec.DryTol = 1e-7 * float64(i+1) // unique specs, one shape
+			if _, err := Run(context.Background(), spec, RunOpts{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(0) // stores the template
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 1; i <= runs; i++ {
+			run(i)
+		}
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > ceiling {
+			t.Errorf("%s: a tiny run allocates %d B, ceiling %d B", mode, perRun, ceiling)
 		}
 	}
 }

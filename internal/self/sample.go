@@ -137,7 +137,7 @@ func (s *Solver[S, C]) TotalMass() float64 {
 			}
 		}
 	}
-	return reduce.SumReproducible(terms)
+	return reduce.SumReproducibleInPlace(terms)
 }
 
 // TotalRhoTheta integrates ρθ over the domain — conserved exactly by the
@@ -159,7 +159,7 @@ func (s *Solver[S, C]) TotalRhoTheta() float64 {
 			}
 		}
 	}
-	return reduce.SumReproducible(terms)
+	return reduce.SumReproducibleInPlace(terms)
 }
 
 // WriteFieldDump writes a compressed analysis dump: the density anomaly on

@@ -382,7 +382,12 @@ func (t *Tuner) ObserveResult(spec runner.ExperimentSpec, res *runner.Result) {
 			e.savedDollars += savedD
 		}
 	}
-	e.streak++
+	// Only a run at the committed frontier warms the next probe: a full
+	// run that finishes after a demotion committed says nothing about the
+	// new rung.
+	if mode == e.Committed {
+		e.streak++
+	}
 	if t.cfg.Verify != nil && !e.probing && e.streak >= e.warmNeed(t.cfg.WarmRuns) {
 		if cand, ok := rung(e.Committed).Prev(); ok && cand.Rank() >= e.floorRank() {
 			if !e.Evidence[cand.Name()].Verified {

@@ -370,3 +370,46 @@ func TestKeyExcludesModeStepsBudgets(t *testing.T) {
 		t.Fatal("distinct problem shapes collided onto one key")
 	}
 }
+
+// TestOnlyFrontierRunsWarmTheNextProbe: after a demotion commits, runs
+// still finishing at the old rung (full) do not count toward the warm
+// streak at the new one; runs at the committed rung do.
+func TestOnlyFrontierRunsWarmTheNextProbe(t *testing.T) {
+	tn := New(Config{Verify: syntheticVerify(func(string) float64 { return 0 }), WarmRuns: 2})
+	auto := testSpec(1e-3)
+	observe := func(mode string) {
+		t.Helper()
+		spec, err := tn.Resolve(auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Mode = mode
+		zero := 0.0
+		tn.ObserveResult(spec, &runner.Result{Spec: spec, Steps: spec.Steps, StateHash: "h-" + mode, MassError: &zero})
+		tn.Quiesce()
+	}
+	committed := func() string {
+		t.Helper()
+		spec, err := tn.Resolve(auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.Mode
+	}
+	observe("full")
+	observe("full")
+	if got := committed(); got != "mixed" {
+		t.Fatalf("two warm full runs committed %q, want mixed", got)
+	}
+	for i := 0; i < 3; i++ {
+		observe("full")
+	}
+	if got := committed(); got != "mixed" {
+		t.Fatalf("full runs after the mixed commit warmed a probe: committed %q", got)
+	}
+	observe("mixed")
+	observe("mixed")
+	if got := committed(); got != "min" {
+		t.Fatalf("two warm mixed runs committed %q, want min", got)
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -219,34 +220,40 @@ func (c *Cache) Put(key string, payload []byte) error {
 	if err := fault.Error("cache.put"); err != nil {
 		return c.recordErr(fmt.Errorf("cache: put %s: %w", key, err))
 	}
-	dir := filepath.Join(c.dir, key[:2])
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return c.recordErr(fmt.Errorf("cache: put %s: %w", key, err))
-	}
 	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s %s %s\n", headerTag, key, hex.EncodeToString(sum[:]))
+	entry := make([]byte, 0, len(headerTag)+len(key)+2*len(sum)+3+len(payload))
+	entry = append(entry, headerTag...)
+	entry = append(entry, ' ')
+	entry = append(entry, key...)
+	entry = append(entry, ' ')
+	entry = hex.AppendEncode(entry, sum[:])
+	entry = append(entry, '\n')
+	entry = append(entry, payload...)
 
-	tmp, err := os.CreateTemp(dir, "."+key+".tmp*")
+	// The shard directory is made on its first put, not probed on every
+	// one.
+	dir, pattern := filepath.Join(c.dir, key[:2]), "."+key+".tmp*"
+	tmp, err := os.CreateTemp(dir, pattern)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, pattern)
+		}
+	}
 	if err != nil {
 		return c.recordErr(fmt.Errorf("cache: put %s: %w", key, err))
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.WriteString(header); err == nil {
-		_, err = tmp.Write(payload)
-		if err == nil {
-			err = tmp.Sync()
-		}
-	} else {
-		tmp.Close()
-		return c.recordErr(fmt.Errorf("cache: put %s: %w", key, err))
+	_, err = tmp.Write(entry)
+	if err == nil {
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return c.recordErr(fmt.Errorf("cache: put %s: %w", key, err))
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(key))
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+	if err != nil {
+		os.Remove(tmp.Name())
 		return c.recordErr(fmt.Errorf("cache: put %s: %w", key, err))
 	}
 	c.puts.Add(1)

@@ -184,6 +184,56 @@ func TestTempFilesAreInvisible(t *testing.T) {
 	}
 }
 
+// TestPutLeavesOnlyItsEntry: a put makes its shard directory when it is
+// missing and leaves exactly the entry file behind; a put whose rename
+// fails leaves no temp file.
+func TestPutLeavesOnlyItsEntry(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := Open(dir)
+	key := testKey("only")
+	shard := filepath.Join(dir, key[:2])
+	listShard := func() []string {
+		t.Helper()
+		des, err := os.ReadDir(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		return names
+	}
+	for i := 0; i < 2; i++ { // the second put finds the shard made
+		if err := c.Put(key, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		if got := listShard(); len(got) != 1 || got[0] != key+".res" {
+			t.Fatalf("put %d left %q in its shard, want only the entry", i+1, got)
+		}
+	}
+	if got, ok := c.Get(key); !ok || string(got) != "payload" {
+		t.Fatalf("Get = %q, %v", got, ok)
+	}
+
+	// A non-empty directory where the entry goes fails the rename.
+	bad := testKey("bad")
+	for bad[:2] != key[:2] {
+		bad = testKey(bad)
+	}
+	if err := os.MkdirAll(filepath.Join(shard, bad+".res", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(bad, []byte("payload")); err == nil {
+		t.Fatal("put over a non-empty directory succeeded")
+	}
+	for _, name := range listShard() {
+		if name != key+".res" && name != bad+".res" {
+			t.Errorf("failed put left %q behind", name)
+		}
+	}
+}
+
 func TestConcurrentPutGet(t *testing.T) {
 	c, _ := Open(t.TempDir())
 	var wg sync.WaitGroup

@@ -501,3 +501,36 @@ func TestZeroWorkersMeansSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestFaceListCountingPassIsExact: the counting pass that sizes a face
+// list reads only neighbor counts (every x-face is one Right-side
+// adjacency, every y-face one Top-side one). A fresh rebuild must fill all
+// nine arrays to exactly the capacity it gave them, on meshes with every
+// coarse–fine pattern an AMR run produces.
+func TestFaceListCountingPassIsExact(t *testing.T) {
+	cfg := testConfig(KernelFace, 3)
+	cfg.AMRInterval = 4
+	s, err := NewSolver[float32, float32](cfg, testIC(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		var fl faceList[float32]
+		fl.rebuild(s.Mesh())
+		for name, lc := range map[string][2]int{
+			"xl": {len(fl.xl), cap(fl.xl)}, "xr": {len(fl.xr), cap(fl.xr)}, "xlen": {len(fl.xlen), cap(fl.xlen)},
+			"yb": {len(fl.yb), cap(fl.yb)}, "yt": {len(fl.yt), cap(fl.yt)}, "ylen": {len(fl.ylen), cap(fl.ylen)},
+			"bCell": {len(fl.bCell), cap(fl.bCell)}, "bSide": {len(fl.bSide), cap(fl.bSide)}, "bLen": {len(fl.bLen), cap(fl.bLen)},
+		} {
+			if lc[0] != lc[1] {
+				t.Errorf("round %d (%d cells): %s filled %d of the %d counted", round, s.Mesh().NumCells(), name, lc[0], lc[1])
+			}
+		}
+		if err := s.Run(4 * (round + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Mesh().MaxActiveLevel() < 2 {
+		t.Errorf("max active level %d: the rounds never saw two-level meshes", s.Mesh().MaxActiveLevel())
+	}
+}

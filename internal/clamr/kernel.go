@@ -34,7 +34,8 @@ type faceList[C precision.Real] struct {
 // the list's existing backing arrays (resliced to zero length first), so a
 // rebuild after an adaptation that did not grow the mesh allocates nothing.
 // A shared list first lets go of its arrays, so its rebuild allocates
-// fresh ones the solver then owns.
+// fresh ones the solver then owns; a list without arrays gets them sized
+// exactly first (presize), rather than regrown face by face.
 //
 // Emission rule per cell i and neighbor n: Right/Top sides emit when
 // level(i) ≥ level(n); Left/Bottom sides emit when level(i) > level(n).
@@ -43,6 +44,9 @@ type faceList[C precision.Real] struct {
 func (fl *faceList[C]) rebuild(m *mesh.Mesh) {
 	if fl.shared {
 		*fl = faceList[C]{}
+	}
+	if cap(fl.xl) == 0 {
+		fl.presize(m)
 	}
 	n := m.NumCells()
 	fl.invArea = growSlice(fl.invArea, n)
@@ -97,6 +101,29 @@ func (fl *faceList[C]) rebuild(m *mesh.Mesh) {
 			}
 		}
 	}
+}
+
+// presize gives the face arrays the exact capacity m's faces need, counted
+// from neighbor counts alone: every interior x-face is some cell's
+// Right-side adjacency, listed once there whichever cell emits it, and
+// likewise every y-face is a Top-side one; a side with no neighbor is one
+// boundary face. Only an empty list takes this pass: one that owns arrays
+// keeps append's slack for a mesh that grows round by round.
+func (fl *faceList[C]) presize(m *mesh.Mesh) {
+	var nx, ny, nb int
+	for i := 0; i < m.NumCells(); i++ {
+		counts := &m.Neighbors(i).Counts
+		nx += int(counts[mesh.Right])
+		ny += int(counts[mesh.Top])
+		for _, c := range counts {
+			if c == 0 {
+				nb++
+			}
+		}
+	}
+	fl.xl, fl.xr, fl.xlen = make([]int32, 0, nx), make([]int32, 0, nx), make([]C, 0, nx)
+	fl.yb, fl.yt, fl.ylen = make([]int32, 0, ny), make([]int32, 0, ny), make([]C, 0, ny)
+	fl.bCell, fl.bSide, fl.bLen = make([]int32, 0, nb), make([]mesh.Side, 0, nb), make([]C, 0, nb)
 }
 
 // rusanovX computes the x-direction Rusanov numerical flux between left and

@@ -269,17 +269,20 @@ func TestTemplateStoreStaysWithinItsCap(t *testing.T) {
 		t.Error("the least recently used template survived eviction")
 	}
 
-	// 48² with one level (the quick sweep's fleet shapes) is over the
-	// per-template limit in every mode and is never stored.
-	for _, mode := range []precision.Mode{precision.Min, precision.Full} {
-		big := Config{NX: 48, NY: 48, MaxLevel: 1}
-		big.setDefaults()
-		r, err := NewDamBreak(mode, big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ts.has(keyOf(mode, big)) {
-			t.Errorf("%v 48²/L1 template stored (%d cells)", mode, r.Mesh().NumCells())
+	// 48² with one level (the quick sweep's fleet shapes) and 128² with two
+	// (solve_cold's) are over the per-template limit in every mode and are
+	// never stored: a stored large template would add its copy to every
+	// cold solve's resident memory.
+	for _, mode := range []precision.Mode{precision.Min, precision.Mixed, precision.Full} {
+		for _, big := range []Config{{NX: 48, NY: 48, MaxLevel: 1}, {NX: 128, NY: 128, MaxLevel: 2}} {
+			big.setDefaults()
+			r, err := NewDamBreak(mode, big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ts.has(keyOf(mode, big)) {
+				t.Errorf("%v %d²/L%d template stored (%d cells)", mode, big.NX, big.MaxLevel, r.Mesh().NumCells())
+			}
 		}
 	}
 	// And the tiny shape qualifies in every mode.

@@ -105,75 +105,52 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 
 	// Coarsening: all four siblings must exist as leaves at the same level
 	// and all want to coarsen; the merged parent must not violate balance
-	// against any neighbor's post-refinement level.
-	type group struct {
-		members [4]int32
-		ok      bool
-	}
-	groups := make(map[uint64]*group)
+	// against any neighbor's post-refinement level. A group is found from
+	// its SW member; a granted group's members are marked, which no other
+	// group's test reads: coarsenEmit on the member with the smallest
+	// index, where the parent is emitted, and coarsenMerged on the rest.
 	for idx := 0; idx < n; idx++ {
-		if want[idx] != Coarsen {
-			continue
-		}
 		c := m.cells[idx]
-		p := c.Parent()
-		k := key(p.I, p.J, p.Level)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{ok: true}
-			for q, ch := range p.Children() {
-				chIdx := m.Lookup(ch.I, ch.J, ch.Level)
-				if chIdx < 0 || want[chIdx] != Coarsen {
-					g.ok = false
-					break
-				}
-				g.members[q] = chIdx
-			}
-			groups[k] = g
-		}
-	}
-	// Balance veto: the parent (level L-1) may not touch any cell whose
-	// post-refinement level exceeds L. Member cells' neighbors bound this.
-	for _, g := range groups {
-		if !g.ok {
+		if want[idx] != Coarsen || c.I&1 != 0 || c.J&1 != 0 {
 			continue
 		}
-		for _, member := range g.members {
-			nb := &m.nbrs[member]
-			memberLevel := int(m.cells[member].Level)
-			for s := Left; s <= Top; s++ {
-				for _, nIdx := range nb.On(s) {
-					final := int(m.cells[nIdx].Level)
-					if want[nIdx] == Refine {
-						final++
-					}
-					if final > memberLevel {
-						g.ok = false
-					}
-				}
+		members, ok := m.children(c.Parent())
+		for _, member := range members {
+			ok = ok && want[member] == Coarsen
+		}
+		if ok && !m.coarsenVetoed(members, want) {
+			for _, member := range members {
+				want[member] = coarsenMerged
 			}
+			want[min(members[0], members[1], members[2], members[3])] = coarsenEmit
 		}
 	}
-	// Demote members of failed groups to Keep.
-	coarsenGranted := make([]bool, n)
-	for _, g := range groups {
-		if g.ok {
-			for _, member := range g.members {
-				coarsenGranted[member] = true
-			}
-		}
-	}
-	for idx := 0; idx < n; idx++ {
-		if want[idx] == Coarsen && !coarsenGranted[idx] {
+	// Demote the rest of the coarsen wishes to Keep, and count the plan.
+	var copies, refines, groups int
+	for idx, f := range want {
+		switch f {
+		case Coarsen:
 			want[idx] = Keep
+			copies++
+		case Keep:
+			copies++
+		case Refine:
+			refines++
+		case coarsenEmit:
+			groups++
 		}
 	}
 
 	// Build the new cell list in old-cell order: refined children expand in
-	// place, coarsened parents emit at the first sibling's position.
-	plan := &Remap{OldLen: n}
-	newCells := make([]Cell, 0, n)
-	emitted := make(map[uint64]bool)
+	// place, a coarsened parent emits at its smallest member index.
+	plan := &Remap{
+		OldLen:   n,
+		NewLen:   copies + 4*refines + groups,
+		Copies:   make([]CopyOp, 0, copies),
+		Refines:  make([]RefineOp, 0, refines),
+		Coarsens: make([]CoarsenOp, 0, groups),
+	}
+	newCells := make([]Cell, 0, plan.NewLen)
 	for idx := 0; idx < n; idx++ {
 		c := m.cells[idx]
 		switch want[idx] {
@@ -187,26 +164,61 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 				newCells = append(newCells, ch)
 			}
 			plan.Refines = append(plan.Refines, op)
-		case Coarsen:
+		case coarsenEmit:
 			p := c.Parent()
-			k := key(p.I, p.J, p.Level)
-			if emitted[k] {
-				continue
-			}
-			emitted[k] = true
-			g := groups[k]
-			op := CoarsenOp{Old: g.members, New: int32(len(newCells))}
+			members, _ := m.children(p)
+			plan.Coarsens = append(plan.Coarsens, CoarsenOp{Old: members, New: int32(len(newCells))})
 			newCells = append(newCells, p)
-			plan.Coarsens = append(plan.Coarsens, op)
 		}
 	}
-	plan.NewLen = len(newCells)
 
 	next := *m
 	next.cells = newCells
 	next.rebuild()
 	plan.Mesh = &next
 	return plan, nil
+}
+
+// Inside Adapt, the members of a sibling group whose coarsening passed the
+// balance veto: the parent is emitted at coarsenEmit's position, and
+// coarsenMerged members emit nothing.
+const (
+	coarsenMerged RefineFlag = -2
+	coarsenEmit   RefineFlag = -3
+)
+
+// children returns the leaf indices of p's four children (SW, SE, NW, NE)
+// and whether all four are leaves.
+func (m *Mesh) children(p Cell) (ids [4]int32, ok bool) {
+	for q, ch := range p.Children() {
+		if ids[q] = m.Lookup(ch.I, ch.J, ch.Level); ids[q] < 0 {
+			return ids, false
+		}
+	}
+	return ids, true
+}
+
+// coarsenVetoed reports whether merging the sibling group members would
+// break balance: the parent (level L-1) may not touch any cell whose
+// post-refinement level exceeds L, and the members' neighbors are exactly
+// the cells it would touch.
+func (m *Mesh) coarsenVetoed(members [4]int32, want []RefineFlag) bool {
+	memberLevel := int(m.cells[members[0]].Level)
+	for _, member := range members {
+		nb := &m.nbrs[member]
+		for s := Left; s <= Top; s++ {
+			for _, nIdx := range nb.On(s) {
+				final := int(m.cells[nIdx].Level)
+				if want[nIdx] == Refine {
+					final++
+				}
+				if final > memberLevel {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // ApplyRemapInto transfers per-cell state across an Adapt into dst,

@@ -2,7 +2,10 @@
 // of the CLAMR mini-app: the domain is a coarse rectangular grid whose cells
 // refine quadtree-fashion, the active mesh is the set of leaf cells, and
 // neighbor connectivity is recovered through a hash of (i, j, level) —
-// CLAMR's signature technique — rather than stored trees.
+// CLAMR's signature technique (Robey et al., "Hash-based algorithms for
+// discretized data", SIAM J. Sci. Comput. 2013) — rather than stored trees.
+// The hash is CLAMR's compact variant, an open-addressed []int32 table
+// (hash.go).
 //
 // The mesh guarantees 2:1 balance (adjacent leaves differ by at most one
 // refinement level), so a cell face borders exactly one same-level cell, one
@@ -15,8 +18,9 @@ import (
 	"unsafe"
 )
 
-// MaxRefineLevel is the hard cap on refinement depth supported by the key
-// packing (5 bits of level, 28 bits each of i and j).
+// MaxRefineLevel is the hard cap on refinement depth. New also keeps each
+// side of the finest grid below 2^28 cells, so leaf coordinates and their
+// children's stay far inside int32.
 const MaxRefineLevel = 20
 
 // Cell identifies a leaf by its integer coordinates at its own refinement
@@ -39,11 +43,6 @@ func (c Cell) Children() [4]Cell {
 	return [4]Cell{
 		{i, j, l}, {i + 1, j, l}, {i, j + 1, l}, {i + 1, j + 1, l},
 	}
-}
-
-// key packs a cell into a hashable 64-bit value.
-func key(i, j int32, level int8) uint64 {
-	return uint64(level)<<56 | uint64(uint32(i))<<28 | uint64(uint32(j))
 }
 
 // Bounds describes the physical extent of the domain.
@@ -91,7 +90,7 @@ type Mesh struct {
 	cellSize [][2]float64
 
 	cells []Cell
-	index map[uint64]int32
+	table []int32 // the spatial hash over cells (hash.go)
 	nbrs  []Neighbors
 }
 
@@ -145,12 +144,10 @@ func FromCells(nx, ny, maxLevel int, bounds Bounds, cells []Cell) (*Mesh, error)
 }
 
 // Footprint estimates the bytes the mesh holds: the leaf list, the
-// neighbor cache and the hash index (one map slot plus load-factor slack
-// per leaf).
+// neighbor cache and the spatial hash table.
 func (m *Mesh) Footprint() int64 {
-	const indexEntryBytes = 24
-	perCell := int64(unsafe.Sizeof(Cell{})+unsafe.Sizeof(Neighbors{})) + indexEntryBytes
-	return int64(len(m.cells)) * perCell
+	perCell := int64(unsafe.Sizeof(Cell{}) + unsafe.Sizeof(Neighbors{}))
+	return int64(len(m.cells))*perCell + int64(len(m.table))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // NumCells returns the number of active leaves.
@@ -170,14 +167,6 @@ func (m *Mesh) Cell(idx int) Cell { return m.cells[idx] }
 
 // Cells returns the live leaf slice; callers must not modify it.
 func (m *Mesh) Cells() []Cell { return m.cells }
-
-// Lookup returns the index of the leaf (i, j, level), or -1.
-func (m *Mesh) Lookup(i, j int32, level int8) int32 {
-	if idx, ok := m.index[key(i, j, level)]; ok {
-		return idx
-	}
-	return -1
-}
 
 // CellSize returns the physical cell dimensions at a refinement level in
 // [0, MaxLevel], from the table New fills.
@@ -209,13 +198,10 @@ func (m *Mesh) levelDims(level int8) (nx, ny int32) {
 	return int32(int64(m.coarseNX) << uint(level)), int32(int64(m.coarseNY) << uint(level))
 }
 
-// rebuild builds the hash index and the neighbor cache from m.cells into
+// rebuild builds the spatial hash and the neighbor cache from m.cells into
 // fresh storage.
 func (m *Mesh) rebuild() {
-	m.index = make(map[uint64]int32, len(m.cells))
-	for idx, c := range m.cells {
-		m.index[key(c.I, c.J, c.Level)] = int32(idx)
-	}
+	m.index()
 	m.nbrs = make([]Neighbors, len(m.cells))
 	for idx := range m.cells {
 		m.computeNeighbors(int32(idx), &m.nbrs[idx])
@@ -285,13 +271,11 @@ func (m *Mesh) computeNeighbors(idx int32, out *Neighbors) {
 // Validate checks mesh invariants: exact single coverage of the domain,
 // index consistency, and 2:1 balance. It returns the first violation found.
 func (m *Mesh) Validate() error {
-	// Index consistency.
-	if len(m.index) != len(m.cells) {
-		return fmt.Errorf("mesh: %d cells but %d index entries (duplicate leaves?)", len(m.cells), len(m.index))
-	}
+	// Index consistency: a duplicate leaf took over its twin's slot in the
+	// table, so the twin fails its own Lookup.
 	for idx, c := range m.cells {
-		if got, ok := m.index[key(c.I, c.J, c.Level)]; !ok || got != int32(idx) {
-			return fmt.Errorf("mesh: index inconsistent for cell %d (%+v)", idx, c)
+		if m.Lookup(c.I, c.J, c.Level) != int32(idx) {
+			return fmt.Errorf("mesh: index inconsistent for cell %d (%+v) (duplicate leaves?)", idx, c)
 		}
 		if c.Level < 0 || int(c.Level) > m.maxLevel {
 			return fmt.Errorf("mesh: cell %d level %d out of range", idx, c.Level)
@@ -352,7 +336,9 @@ func (m *Mesh) MaxActiveLevel() int8 {
 // (x, y), or -1 if the point lies outside the domain. Points on shared
 // edges resolve to the cell whose half-open span contains them.
 func (m *Mesh) ContainingCell(x, y float64) int32 {
-	if x < m.bounds.XMin || x >= m.bounds.XMax || y < m.bounds.YMin || y >= m.bounds.YMax {
+	// Written so that a NaN coordinate is outside too: converted to a
+	// cell index, it would be whatever the platform makes of it.
+	if !(x >= m.bounds.XMin && x < m.bounds.XMax && y >= m.bounds.YMin && y < m.bounds.YMax) {
 		return -1
 	}
 	fx := (x - m.bounds.XMin) / m.bounds.Width()

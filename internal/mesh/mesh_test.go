@@ -380,7 +380,7 @@ func TestContainingCellAndRasterize(t *testing.T) {
 	if idx < 0 || m.Cell(int(idx)).Level != 0 {
 		t.Errorf("ContainingCell(0.9,0.9) level %d", m.Cell(int(idx)).Level)
 	}
-	if m.ContainingCell(-0.1, 0.5) != -1 || m.ContainingCell(0.5, 1.5) != -1 {
+	if m.ContainingCell(-0.1, 0.5) != -1 || m.ContainingCell(0.5, 1.5) != -1 || m.ContainingCell(math.NaN(), 0.5) != -1 {
 		t.Error("points outside the domain resolved to cells")
 	}
 	// Rasterize per-cell levels: the SW quadrant of the image must read 1.
@@ -503,6 +503,7 @@ func BenchmarkNeighborRebuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	m = plan.Mesh
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.rebuild()

@@ -33,43 +33,11 @@ func TestPropertyAdaptPreservesInvariants(t *testing.T) {
 				t.Logf("validate: %v", err)
 				return false
 			}
-			// The plan covers every new cell exactly once.
-			covered := make([]int, plan.NewLen)
-			for _, op := range plan.Copies {
-				covered[op.New]++
-			}
-			for _, op := range plan.Refines {
-				for _, idx := range op.New {
-					covered[idx]++
-				}
-			}
-			for _, op := range plan.Coarsens {
-				covered[op.New]++
-			}
-			for idx, c := range covered {
-				if c != 1 {
-					t.Logf("new cell %d covered %d times", idx, c)
-					return false
-				}
-			}
-			// And references every old cell exactly once.
-			used := make([]int, plan.OldLen)
-			for _, op := range plan.Copies {
-				used[op.Old]++
-			}
-			for _, op := range plan.Refines {
-				used[op.Old]++
-			}
-			for _, op := range plan.Coarsens {
-				for _, idx := range op.Old {
-					used[idx]++
-				}
-			}
-			for idx, c := range used {
-				if c != 1 {
-					t.Logf("old cell %d used %d times", idx, c)
-					return false
-				}
+			// The plan covers every new cell exactly once and uses every
+			// old cell exactly once.
+			if err := checkPlan(plan); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		return true

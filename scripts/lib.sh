@@ -33,9 +33,13 @@ $GO build -o "$work/precision-worker" ./cmd/precision-worker
 $GO build -o "$work/precision-client" ./cmd/precision-client
 
 # start_daemon <logfile> <extra flags...>; sets $daemon_pid and $addr. The
-# daemon prints "listening on <host:port>" once the socket is open.
+# daemon prints "listening on <host:port>" once the socket is open. The log
+# is created before the launch: the first poll may run before the
+# background redirect does, and sed on a missing file would end the smoke
+# under set -e.
 start_daemon() {
     local logf=$1; shift
+    : >"$logf"
     "$work/precisiond" -addr 127.0.0.1:0 "$@" >"$logf" 2>&1 &
     daemon_pid=$!
     addr=""
@@ -52,6 +56,7 @@ start_daemon() {
 # worker prints "registered as worker-NNN with <url>" once admitted.
 start_worker() {
     local logf=$1; shift
+    : >"$logf"
     "$work/precision-worker" -coordinator "http://$addr" "$@" >"$logf" 2>&1 &
     local pid=$!
     for _ in $(seq 1 100); do

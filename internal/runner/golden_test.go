@@ -17,8 +17,8 @@ var (
 )
 
 // goldenStateHashes pins the final-state hash of one tiny spec per
-// numerically distinct solver path, as generated at commit 37f40ca. A
-// kernel change that moves a bit trips it — on purpose, when the change
+// numerically distinct solver path, as generated at commit 37f40ca (the
+// SELF mixed rows and the 3³-element row at d9c1eba). A kernel change that moves a bit trips it — on purpose, when the change
 // means to: regenerate the pins in the same commit and say so.
 var goldenStateHashes = []struct {
 	name string
@@ -37,6 +37,9 @@ var goldenStateHashes = []struct {
 	{"self/min/gnu-promoted", goldenSELF("min", "gnu-promoted"), "396afd071bd70472d6d97ce2768c2119db2a34f1bb1522d1d429fd4c4b68b4d1"},
 	{"self/full/intel-native", goldenSELF("full", "intel-native"), "77c4cd50da8f4aff14f3924e784add8647d775371d1836b7092c4347a76ac6ff"},
 	{"self/full/gnu-promoted", goldenSELF("full", "gnu-promoted"), "77c4cd50da8f4aff14f3924e784add8647d775371d1836b7092c4347a76ac6ff"},
+	{"self/mixed/intel-native", goldenSELF("mixed", "intel-native"), "31c95bad197bd9e9880996507cf728a9b09ca7cc5f2526ccc9949b6fe79c4706"},
+	{"self/mixed/gnu-promoted", goldenSELF("mixed", "gnu-promoted"), "31c95bad197bd9e9880996507cf728a9b09ca7cc5f2526ccc9949b6fe79c4706"},
+	{"self/min/intel-native/3x3x3-o5", goldenSELFInterior("min", "intel-native"), "46444e5b6b713c8c22b5cb08a9705809ac87e134299af583fa8cfa4d7dce70e8"},
 }
 
 // goldenCLAMR adapts twice in 12 steps, so remap and face-list rebuild are
@@ -53,6 +56,15 @@ func goldenSELF(mode, mathMode string) ExperimentSpec {
 		App: AppSELF, Mode: mode, Steps: 3,
 		Elements: 2, Order: 3, MathMode: mathMode,
 	}
+}
+
+// goldenSELFInterior is the smallest shape with an element whose six
+// neighbours are all interior elements (the centre of 3³), so every face
+// of some element exchanges with a neighbour rather than a wall mirror.
+func goldenSELFInterior(mode, mathMode string) ExperimentSpec {
+	spec := goldenSELF(mode, mathMode)
+	spec.Elements, spec.Order = 3, 5
+	return spec
 }
 
 // TestGoldenStateHashes is the bit-identity tripwire: same spec → same

@@ -15,8 +15,9 @@ import (
 
 // Series is a sampled 1-D signal y(x).
 type Series struct {
-	Label string
-	X, Y  []float64
+	Label string    `json:"label"`
+	X     []float64 `json:"x"`
+	Y     []float64 `json:"y"`
 }
 
 // NewSeries validates and wraps the data.

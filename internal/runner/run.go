@@ -8,17 +8,11 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
-
-// Series is the JSON shape of a solution line cut.
-type Series struct {
-	Label string    `json:"label"`
-	X     []float64 `json:"x"`
-	Y     []float64 `json:"y"`
-}
 
 // Result is the content-addressable outcome of one experiment. Everything
 // except the timing fields is a deterministic function of the spec: the
@@ -49,8 +43,8 @@ type Result struct {
 	MassError *float64 `json:"mass_error,omitempty"`
 	// StateHash is the SHA-256 of the final-state checkpoint bytes — the
 	// strongest equality certificate two runs of one spec can exchange.
-	StateHash string  `json:"state_hash"`
-	LineCut   *Series `json:"line_cut,omitempty"`
+	StateHash string           `json:"state_hash"`
+	LineCut   *analysis.Series `json:"line_cut,omitempty"`
 
 	// Escalations, set by the serving layer, records the precision climbs
 	// that produced this result when the submitted mode tripped a numerical
@@ -201,7 +195,8 @@ func Run(ctx context.Context, spec ExperimentSpec, opts RunOpts) (*Result, error
 		res.FiniteDiffSeconds = r.FiniteDiffTime.Seconds()
 		res.Phases = r.Phases
 		if n.LineCutN > 0 {
-			res.LineCut = &Series{Label: r.LineCut.Label, X: r.LineCut.X, Y: r.LineCut.Y}
+			lc := r.LineCut
+			res.LineCut = &lc
 		}
 	case AppSELF:
 		cfg, err := n.SELFConfig(opts.Workers)
@@ -219,7 +214,8 @@ func Run(ctx context.Context, spec ExperimentSpec, opts RunOpts) (*Result, error
 		res.WallSeconds = r.WallTime.Seconds()
 		res.Phases = r.Phases
 		if n.LineCutN > 0 {
-			res.LineCut = &Series{Label: r.LineCut.Label, X: r.LineCut.X, Y: r.LineCut.Y}
+			lc := r.LineCut
+			res.LineCut = &lc
 		}
 	default:
 		return nil, &Error{Kind: KindPermanent, Op: "spec", Err: fmt.Errorf("unknown app %q", n.App)}

@@ -3,10 +3,12 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/precision"
 )
@@ -173,5 +175,39 @@ func TestTinyRunByteCeiling(t *testing.T) {
 		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > ceiling {
 			t.Errorf("%s: a tiny run allocates %d B, ceiling %d B", mode, perRun, ceiling)
 		}
+	}
+}
+
+// lineCutResultJSON is a Result with a line cut as marshalled when the
+// line cut had its own runner-local type. Cache entries, ETags and
+// journaled autotune rows hold these bytes, so they must not move.
+const lineCutResultJSON = `{"spec":{"app":"self","mode":"min","steps":2,"line_cut_n":3,"elements":1,"order":2},"spec_hash":"5eed","steps":2,"dof":135,"counters":{"flops16":0,"flops32":0,"flops64":0,"transcendental32":0,"transcendental64":0,"load_bytes":0,"store_bytes":0,"conversions":0,"kernel_launches":0,"alloc_bytes":0,"alloc_count":0},"state_bytes":0,"checkpoint_bytes":0,"state_hash":"00ff","line_cut":{"label":"w","x":[0,0.5,1],"y":[-0.00125,0,3]},"wall_seconds":0}`
+
+func TestLineCutJSONStable(t *testing.T) {
+	res := Result{
+		Spec:      ExperimentSpec{App: AppSELF, Mode: "min", Steps: 2, Elements: 1, Order: 2, LineCutN: 3},
+		SpecHash:  "5eed",
+		Steps:     2,
+		DOF:       135,
+		StateHash: "00ff",
+		LineCut:   &analysis.Series{Label: "w", X: []float64{0, 0.5, 1}, Y: []float64{-1.25e-3, 0, 3}},
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != lineCutResultJSON {
+		t.Fatalf("Result JSON moved:\n got %s\nwant %s", got, lineCutResultJSON)
+	}
+	var back Result
+	if err := json.Unmarshal([]byte(lineCutResultJSON), &back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != lineCutResultJSON {
+		t.Fatalf("stored Result JSON does not round-trip:\n got %s\nwant %s", again, lineCutResultJSON)
 	}
 }

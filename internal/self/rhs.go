@@ -44,6 +44,11 @@ func (s *Solver[S, C]) zLevelOf(n int) int {
 // result is bit-identical to the serial sweep at any worker count. All
 // passes dispatch prebound kernels on the persistent pool with persistent
 // per-chunk scratch, so an RHS evaluation allocates nothing.
+//
+// Every product in this file that feeds an add or subtract is rounded by an
+// explicit conversion (C(a*b)), which the Go spec says a target may not
+// fuse into a multiply-add, so the RHS has the same bits on every
+// architecture; `make fma-check` guards it.
 func (s *Solver[S, C]) computeRHS() {
 	workers := s.cfg.Workers
 	s.pool.ForN(workers, s.nNodes, s.parPressure)
@@ -66,7 +71,7 @@ func (s *Solver[S, C]) bindKernels() {
 		p00 := C(P00)
 		for n := lo; n < hi; n++ {
 			zl := s.zLevelOf(n)
-			pprime[n] = p00*s.powFn(rOverP00*C(s.q[iRhoT][n]), gamma) - s.pBar[zl]
+			pprime[n] = C(p00*s.powFn(rOverP00*C(s.q[iRhoT][n]), gamma)) - s.pBar[zl]
 		}
 	}
 	s.parClearRHS = func(lo, hi int) {
@@ -74,18 +79,15 @@ func (s *Solver[S, C]) bindKernels() {
 			clear(s.rhs[v][lo:hi])
 		}
 	}
-	// Elements write disjoint rhs ranges; the flux scratch is per chunk.
+	// Elements write disjoint rhs ranges; the scratch is per chunk.
 	s.parElems = func(chunk, lo, hi int) {
-		flux := s.elemScratch[chunk]
-		pprime := s.scrP
 		for e := lo; e < hi; e++ {
-			s.elementRHS(e, pprime, flux)
+			s.elementRHS(e, s.scrP, s.scratch[chunk])
 		}
 	}
 	s.parFilter = func(chunk, lo, hi int) {
-		buf, out := s.filterBuf[chunk], s.filterOut[chunk]
 		for e := lo; e < hi; e++ {
-			s.filterElement(e, buf, out)
+			s.filterElement(e, s.scratch[chunk])
 		}
 	}
 	// Low-storage RK update, fused over all variables (per-node ranges, so
@@ -96,152 +98,100 @@ func (s *Solver[S, C]) bindKernels() {
 		for v := 0; v < nVars; v++ {
 			g, r, q := s.g[v], s.rhs[v], s.q[v]
 			for n := lo; n < hi; n++ {
-				g[n] = a*g[n] + dt*r[n]
-				q[n] = S(C(q[n]) + b*g[n])
+				g[n] = C(a*g[n]) + C(dt*r[n])
+				q[n] = S(C(q[n]) + C(b*g[n]))
 			}
 		}
 	}
 }
 
 // elementRHS accumulates the volume, face and source terms of one element
-// into s.rhs, using the caller-provided flux scratch (nVars × np³).
-func (s *Solver[S, C]) elementRHS(e int, pprime, flux []C) {
+// into s.rhs, using the chunk's scratch: nVars flux tensors and one
+// derivative tensor, np³ each.
+func (s *Solver[S, C]) elementRHS(e int, pprime, scratch []C) {
 	np := s.np
 	np2, np3 := np*np, np*np*np
-	fbuf := func(v int) []C { return flux[v*np3 : (v+1)*np3] }
-	{
-		base := e * np3
-		ex, ey, ez := s.elemCoords(e)
+	base := e * np3
+	flux, deriv := scratch[:nVars*np3], scratch[nVars*np3:(nVars+1)*np3]
 
-		// --- Volume terms, one sweep per direction ---
-		for dir := 0; dir < 3; dir++ {
-			// Fill flux buffers F_dir(q) at every node.
-			for loc := 0; loc < np3; loc++ {
-				n := base + loc
-				rho := C(s.q[iRho][n])
-				ru := C(s.q[iRhoU][n])
-				rv := C(s.q[iRhoV][n])
-				rw := C(s.q[iRhoW][n])
-				rt := C(s.q[iRhoT][n])
-				pp := pprime[n]
-				var vel C
-				switch dir {
-				case 0:
-					vel = ru / rho
-				case 1:
-					vel = rv / rho
-				default:
-					vel = rw / rho
-				}
-				fbuf(iRho)[loc] = rho * vel
-				fbuf(iRhoU)[loc] = ru * vel
-				fbuf(iRhoV)[loc] = rv * vel
-				fbuf(iRhoW)[loc] = rw * vel
-				fbuf(iRhoT)[loc] = rt * vel
-				switch dir {
-				case 0:
-					fbuf(iRhoU)[loc] += pp
-				case 1:
-					fbuf(iRhoV)[loc] += pp
-				default:
-					fbuf(iRhoW)[loc] += pp
-				}
-			}
-			// Apply -J·D along dir for each variable.
+	// Volume terms: fill F_dir(q) at every node, then apply -J·D along
+	// dir, so every rhs entry takes its three volume terms in dir order.
+	for dir := 0; dir < 3; dir++ {
+		for loc := 0; loc < np3; loc++ {
+			n := base + loc
+			vel := C(s.q[iRhoU+dir][n]) / C(s.q[iRho][n])
 			for v := 0; v < nVars; v++ {
-				fb := fbuf(v)
-				r := s.rhs[v]
-				switch dir {
-				case 0:
-					for k := 0; k < np; k++ {
-						for j := 0; j < np; j++ {
-							line := j*np + k*np2
-							for i := 0; i < np; i++ {
-								var sum C
-								drow := s.dmat[i*np : (i+1)*np]
-								for m := 0; m < np; m++ {
-									sum += drow[m] * fb[line+m]
-								}
-								r[base+line+i] -= s.jacoby * sum
-							}
-						}
-					}
-				case 1:
-					for k := 0; k < np; k++ {
-						for i := 0; i < np; i++ {
-							line := i + k*np2
-							for j := 0; j < np; j++ {
-								var sum C
-								drow := s.dmat[j*np : (j+1)*np]
-								for m := 0; m < np; m++ {
-									sum += drow[m] * fb[line+m*np]
-								}
-								r[base+line+j*np] -= s.jacoby * sum
-							}
-						}
-					}
-				default:
-					for j := 0; j < np; j++ {
-						for i := 0; i < np; i++ {
-							line := i + j*np
-							for k := 0; k < np; k++ {
-								var sum C
-								drow := s.dmat[k*np : (k+1)*np]
-								for m := 0; m < np; m++ {
-									sum += drow[m] * fb[line+m*np2]
-								}
-								r[base+line+k*np2] -= s.jacoby * sum
-							}
-						}
-					}
-				}
+				flux[v*np3+loc] = C(C(s.q[v][n]) * vel)
+			}
+			flux[(iRhoU+dir)*np3+loc] += pprime[n]
+		}
+		for v := 0; v < nVars; v++ {
+			contract(np, dir, s.dmat, flux[v*np3:(v+1)*np3], deriv)
+			r := s.rhs[v][base : base+np3]
+			for loc, d := range deriv {
+				r[loc] -= C(s.jacoby * d)
 			}
 		}
+	}
 
-		// --- Face terms ---
-		s.faceCorrections(e, ex, ey, ez, pprime)
+	s.faceCorrections(e, pprime)
 
-		// --- Gravity source on vertical momentum ---
-		for k := 0; k < np; k++ {
-			zl := ez*s.np + k
-			rb := s.rhoBar[zl]
-			for j := 0; j < np; j++ {
-				for i := 0; i < np; i++ {
-					n := base + nodeIndex(np, i, j, k)
-					s.rhs[iRhoW][n] -= C(Grav) * (C(s.q[iRho][n]) - rb)
+	// Gravity source on vertical momentum.
+	ez := e / (s.ne * s.ne)
+	rw, rho := s.rhs[iRhoW][base:base+np3], s.q[iRho][base:base+np3]
+	for k := 0; k < np; k++ {
+		rb := s.rhoBar[ez*np+k]
+		for loc := k * np2; loc < (k+1)*np2; loc++ {
+			rw[loc] -= C(C(Grav) * (C(rho[loc]) - rb))
+		}
+	}
+}
+
+// contract applies the np×np matrix mat along direction dir of the np³
+// tensor in: out[node] = Σ_m mat[d·np+m]·in[line+m·stride], where d is the
+// node's index along dir and line its index with that coordinate zeroed.
+// Each sum starts from zero and takes m in ascending order, and every
+// product is rounded before it is added, so no target fuses a multiply-add
+// and the bits are the same on every architecture.
+func contract[C precision.Real](np, dir int, mat, in, out []C) {
+	stride := 1
+	for ; dir > 0; dir-- {
+		stride *= np
+	}
+	span := stride * np
+	for block := 0; block < np*np*np; block += span {
+		for line := block; line < block+stride; line++ {
+			for d := 0; d < np; d++ {
+				row := mat[d*np : (d+1)*np]
+				var sum C
+				for m, a := range row {
+					sum += C(a * in[line+m*stride])
 				}
+				out[line+d*stride] = sum
 			}
 		}
 	}
 }
 
-// faceState gathers the conserved state and p' at a node.
+// faceState gathers the conserved state, p' and p̄ at a node.
 type faceState[C any] struct {
-	rho, ru, rv, rw, rt, pp, pbar C
+	q        [nVars]C
+	pp, pbar C
 }
 
 // loadState reads node n.
 func (s *Solver[S, C]) loadState(n int, pprime []C) faceState[C] {
-	zl := s.zLevelOf(n)
+	q := &s.q
 	return faceState[C]{
-		rho: C(s.q[iRho][n]), ru: C(s.q[iRhoU][n]), rv: C(s.q[iRhoV][n]),
-		rw: C(s.q[iRhoW][n]), rt: C(s.q[iRhoT][n]),
-		pp: pprime[n], pbar: s.pBar[zl],
+		q:  [nVars]C{C(q[iRho][n]), C(q[iRhoU][n]), C(q[iRhoV][n]), C(q[iRhoW][n]), C(q[iRhoT][n])},
+		pp: pprime[n], pbar: s.pBar[s.zLevelOf(n)],
 	}
 }
 
 // mirror returns the reflective-wall ghost of q for face direction dir.
 func mirror[C precision.Real](q faceState[C], dir int) faceState[C] {
-	g := q
-	switch dir {
-	case 0:
-		g.ru = -q.ru
-	case 1:
-		g.rv = -q.rv
-	default:
-		g.rw = -q.rw
-	}
-	return g
+	q.q[iRhoU+dir] = -q.q[iRhoU+dir]
+	return q
 }
 
 // rusanov computes the dir-direction Rusanov flux between two states.
@@ -249,181 +199,80 @@ func mirror[C precision.Real](q faceState[C], dir int) faceState[C] {
 // uses the full pressure (p' + p̄).
 func rusanov[C precision.Real](qL, qR faceState[C], dir int) (f [nVars]C) {
 	velL, velR := faceVel(qL, dir), faceVel(qR, dir)
-	cL := C(math.Sqrt(float64(C(Gamma) * (qL.pp + qL.pbar) / qL.rho)))
-	cR := C(math.Sqrt(float64(C(Gamma) * (qR.pp + qR.pbar) / qR.rho)))
+	cL := C(math.Sqrt(float64(C(Gamma) * (qL.pp + qL.pbar) / qL.q[iRho])))
+	cR := C(math.Sqrt(float64(C(Gamma) * (qR.pp + qR.pbar) / qR.q[iRho])))
 	sm := precision.Abs(velL) + cL
 	if s2 := precision.Abs(velR) + cR; s2 > sm {
 		sm = s2
 	}
 	half := C(0.5)
-	f[iRho] = half*(qL.rho*velL+qR.rho*velR) - half*sm*(qR.rho-qL.rho)
-	f[iRhoU] = half*(qL.ru*velL+qR.ru*velR) - half*sm*(qR.ru-qL.ru)
-	f[iRhoV] = half*(qL.rv*velL+qR.rv*velR) - half*sm*(qR.rv-qL.rv)
-	f[iRhoW] = half*(qL.rw*velL+qR.rw*velR) - half*sm*(qR.rw-qL.rw)
-	f[iRhoT] = half*(qL.rt*velL+qR.rt*velR) - half*sm*(qR.rt-qL.rt)
-	switch dir {
-	case 0:
-		f[iRhoU] += half * (qL.pp + qR.pp)
-	case 1:
-		f[iRhoV] += half * (qL.pp + qR.pp)
-	default:
-		f[iRhoW] += half * (qL.pp + qR.pp)
+	for v := range f {
+		f[v] = C(half*(C(qL.q[v]*velL)+C(qR.q[v]*velR))) - C(half*sm*(qR.q[v]-qL.q[v]))
 	}
+	f[iRhoU+dir] += C(half * (qL.pp + qR.pp))
 	return f
 }
 
 // physFlux computes the physical dir-direction flux of a state.
 func physFlux[C precision.Real](q faceState[C], dir int) (f [nVars]C) {
 	vel := faceVel(q, dir)
-	f[iRho] = q.rho * vel
-	f[iRhoU] = q.ru * vel
-	f[iRhoV] = q.rv * vel
-	f[iRhoW] = q.rw * vel
-	f[iRhoT] = q.rt * vel
-	switch dir {
-	case 0:
-		f[iRhoU] += q.pp
-	case 1:
-		f[iRhoV] += q.pp
-	default:
-		f[iRhoW] += q.pp
+	for v := range f {
+		f[v] = C(q.q[v] * vel)
 	}
+	f[iRhoU+dir] += q.pp
 	return f
 }
 
 func faceVel[C precision.Real](q faceState[C], dir int) C {
-	switch dir {
-	case 0:
-		return q.ru / q.rho
-	case 1:
-		return q.rv / q.rho
-	default:
-		return q.rw / q.rho
-	}
+	return q.q[iRhoU+dir] / q.q[iRho]
 }
 
-// faceCorrections applies the strong-form DG SAT terms on all six faces of
-// element e.
-func (s *Solver[S, C]) faceCorrections(e, ex, ey, ez int, pprime []C) {
+// faceCorrections applies the strong-form DG SAT terms on the six faces of
+// element e in the order −x, +x, −y, +y, −z, +z, so a node on an edge or
+// corner takes its face terms in that order.
+func (s *Solver[S, C]) faceCorrections(e int, pprime []C) {
 	np := s.np
-	np2 := np * np
-	base := e * np * np2
-	wEnd := C(s.weights[np-1]) // == weights[0] by symmetry
-	w0 := C(s.weights[0])
-	lift := s.jacoby / wEnd
-	lift0 := s.jacoby / w0
-
-	// dir 0: x faces.
-	for face := 0; face < 2; face++ { // 0 = -x, 1 = +x
-		for k := 0; k < np; k++ {
-			for j := 0; j < np; j++ {
-				var nIn, nOut int
-				var qOut faceState[C]
-				if face == 1 {
-					nIn = base + nodeIndex(np, np-1, j, k)
-					qIn := s.loadState(nIn, pprime)
-					if ex+1 < s.ne {
-						nOut = s.elemIndex(ex+1, ey, ez)*np*np2 + nodeIndex(np, 0, j, k)
-						qOut = s.loadState(nOut, pprime)
-					} else {
-						qOut = mirror(qIn, 0)
-					}
-					fstar := rusanov(qIn, qOut, 0)
-					fin := physFlux(qIn, 0)
-					for v := 0; v < nVars; v++ {
-						s.rhs[v][nIn] -= lift * (fstar[v] - fin[v])
-					}
-				} else {
-					nIn = base + nodeIndex(np, 0, j, k)
-					qIn := s.loadState(nIn, pprime)
-					if ex > 0 {
-						nOut = s.elemIndex(ex-1, ey, ez)*np*np2 + nodeIndex(np, np-1, j, k)
-						qOut = s.loadState(nOut, pprime)
-					} else {
-						qOut = mirror(qIn, 0)
-					}
-					fstar := rusanov(qOut, qIn, 0)
-					fin := physFlux(qIn, 0)
-					for v := 0; v < nVars; v++ {
-						s.rhs[v][nIn] += lift0 * (fstar[v] - fin[v])
-					}
-				}
+	np3 := np * np * np
+	nodeStride := [3]int{1, np, np * np}
+	elemStride := [3]int{1, s.ne, s.ne * s.ne}
+	// The face's two transverse node strides, inner first.
+	transverse := [3][2]int{{np, np * np}, {1, np * np}, {1, np}}
+	for dir := 0; dir < 3; dir++ {
+		ec := e / elemStride[dir] % s.ne
+		for face := 0; face < 2; face++ {
+			plus := face == 1
+			// Node coordinate along dir on this face and on the
+			// neighbour's facing face.
+			in, out, nb, hasNb := 0, np-1, e-elemStride[dir], ec > 0
+			if plus {
+				in, out, nb, hasNb = np-1, 0, e+elemStride[dir], ec+1 < s.ne
 			}
-		}
-	}
-
-	// dir 1: y faces.
-	for face := 0; face < 2; face++ {
-		for k := 0; k < np; k++ {
-			for i := 0; i < np; i++ {
-				if face == 1 {
-					nIn := base + nodeIndex(np, i, np-1, k)
+			lift := s.jacoby / C(s.weights[in])
+			tA, tB := transverse[dir][0], transverse[dir][1]
+			for b := 0; b < np; b++ {
+				for a := 0; a < np; a++ {
+					t := a*tA + b*tB
+					nIn := e*np3 + t + in*nodeStride[dir]
 					qIn := s.loadState(nIn, pprime)
 					var qOut faceState[C]
-					if ey+1 < s.ne {
-						nOut := s.elemIndex(ex, ey+1, ez)*np*np2 + nodeIndex(np, i, 0, k)
-						qOut = s.loadState(nOut, pprime)
+					if hasNb {
+						qOut = s.loadState(nb*np3+t+out*nodeStride[dir], pprime)
 					} else {
-						qOut = mirror(qIn, 1)
+						qOut = mirror(qIn, dir)
 					}
-					fstar := rusanov(qIn, qOut, 1)
-					fin := physFlux(qIn, 1)
-					for v := 0; v < nVars; v++ {
-						s.rhs[v][nIn] -= lift * (fstar[v] - fin[v])
+					qL, qR := qOut, qIn
+					if plus {
+						qL, qR = qIn, qOut
 					}
-				} else {
-					nIn := base + nodeIndex(np, i, 0, k)
-					qIn := s.loadState(nIn, pprime)
-					var qOut faceState[C]
-					if ey > 0 {
-						nOut := s.elemIndex(ex, ey-1, ez)*np*np2 + nodeIndex(np, i, np-1, k)
-						qOut = s.loadState(nOut, pprime)
-					} else {
-						qOut = mirror(qIn, 1)
-					}
-					fstar := rusanov(qOut, qIn, 1)
-					fin := physFlux(qIn, 1)
-					for v := 0; v < nVars; v++ {
-						s.rhs[v][nIn] += lift0 * (fstar[v] - fin[v])
-					}
-				}
-			}
-		}
-	}
-
-	// dir 2: z faces.
-	for face := 0; face < 2; face++ {
-		for j := 0; j < np; j++ {
-			for i := 0; i < np; i++ {
-				if face == 1 {
-					nIn := base + nodeIndex(np, i, j, np-1)
-					qIn := s.loadState(nIn, pprime)
-					var qOut faceState[C]
-					if ez+1 < s.ne {
-						nOut := s.elemIndex(ex, ey, ez+1)*np*np2 + nodeIndex(np, i, j, 0)
-						qOut = s.loadState(nOut, pprime)
-					} else {
-						qOut = mirror(qIn, 2)
-					}
-					fstar := rusanov(qIn, qOut, 2)
-					fin := physFlux(qIn, 2)
-					for v := 0; v < nVars; v++ {
-						s.rhs[v][nIn] -= lift * (fstar[v] - fin[v])
-					}
-				} else {
-					nIn := base + nodeIndex(np, i, j, 0)
-					qIn := s.loadState(nIn, pprime)
-					var qOut faceState[C]
-					if ez > 0 {
-						nOut := s.elemIndex(ex, ey, ez-1)*np*np2 + nodeIndex(np, i, j, np-1)
-						qOut = s.loadState(nOut, pprime)
-					} else {
-						qOut = mirror(qIn, 2)
-					}
-					fstar := rusanov(qOut, qIn, 2)
-					fin := physFlux(qIn, 2)
-					for v := 0; v < nVars; v++ {
-						s.rhs[v][nIn] += lift0 * (fstar[v] - fin[v])
+					fstar := rusanov(qL, qR, dir)
+					fin := physFlux(qIn, dir)
+					for v := range fstar {
+						d := C(lift * (fstar[v] - fin[v]))
+						if plus {
+							s.rhs[v][nIn] -= d
+						} else {
+							s.rhs[v][nIn] += d
+						}
 					}
 				}
 			}
@@ -448,62 +297,21 @@ func (s *Solver[S, C]) applyFilter() {
 }
 
 // filterElement applies the tensor-product filter to one element of every
-// variable, using caller-provided scratch.
-func (s *Solver[S, C]) filterElement(e int, buf, out []C) {
+// variable, ping-ponging between two np³ tensors of the chunk's scratch.
+func (s *Solver[S, C]) filterElement(e int, scratch []C) {
 	np := s.np
-	np2, np3 := np*np, np*np*np
+	np3 := np * np * np
+	a, b := scratch[:np3], scratch[np3:2*np3]
 	for v := 0; v < nVars; v++ {
-		q := s.q[v]
-		{
-			base := e * np3
-			for loc := 0; loc < np3; loc++ {
-				buf[loc] = C(q[base+loc])
-			}
-			// x
-			for k := 0; k < np; k++ {
-				for j := 0; j < np; j++ {
-					line := j*np + k*np2
-					for i := 0; i < np; i++ {
-						var sum C
-						frow := s.filter[i*np : (i+1)*np]
-						for m := 0; m < np; m++ {
-							sum += frow[m] * buf[line+m]
-						}
-						out[line+i] = sum
-					}
-				}
-			}
-			// y
-			for k := 0; k < np; k++ {
-				for i := 0; i < np; i++ {
-					line := i + k*np2
-					for j := 0; j < np; j++ {
-						var sum C
-						frow := s.filter[j*np : (j+1)*np]
-						for m := 0; m < np; m++ {
-							sum += frow[m] * out[line+m*np]
-						}
-						buf[line+j*np] = sum
-					}
-				}
-			}
-			// z
-			for j := 0; j < np; j++ {
-				for i := 0; i < np; i++ {
-					line := i + j*np
-					for k := 0; k < np; k++ {
-						var sum C
-						frow := s.filter[k*np : (k+1)*np]
-						for m := 0; m < np; m++ {
-							sum += frow[m] * buf[line+m*np2]
-						}
-						out[line+k*np2] = sum
-					}
-				}
-			}
-			for loc := 0; loc < np3; loc++ {
-				q[base+loc] = S(out[loc])
-			}
+		q := s.q[v][e*np3 : (e+1)*np3]
+		for loc, x := range q {
+			a[loc] = C(x)
+		}
+		contract(np, 0, s.filter, a, b)
+		contract(np, 1, s.filter, b, a)
+		contract(np, 2, s.filter, a, b)
+		for loc, x := range b {
+			q[loc] = S(x)
 		}
 	}
 }

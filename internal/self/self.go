@@ -173,14 +173,12 @@ type Solver[S, C precision.Real] struct {
 	// Background hydrostatic profiles per global z-level (ne·np entries).
 	rhoBar, pBar, exner []C
 	zLevels             []float64
-	// Scratch: global perturbation pressure, plus per-chunk element-local
-	// buffers — flux staging (nVars × np³) for the RHS and a pair of np³
-	// tensors for the filter — indexed by the dispatch chunk, so parallel
-	// sweeps reuse persistent scratch instead of allocating per dispatch.
-	scrP        []C
-	elemScratch [][]C
-	filterBuf   [][]C
-	filterOut   [][]C
+	// Scratch: global perturbation pressure, plus one element-local buffer
+	// of (nVars+2) np³ tensors per dispatch chunk — the RHS stages fluxes
+	// and a derivative in it, the filter ping-pongs two tensors — so
+	// parallel sweeps reuse persistent scratch instead of allocating.
+	scrP    []C
+	scratch [][]C
 	// Transcendental dispatch (MathMode × C width).
 	powFn    func(x, y C) C
 	powConvs uint64 // conversions per pow call (promoted f32 profile)
@@ -284,13 +282,9 @@ func (s *Solver[S, C]) allocate() {
 	}
 	s.scrP = make([]C, n)
 	nChunks := s.cfg.Workers // per-chunk scratch: the chunk count, not the pool size
-	s.elemScratch = make([][]C, nChunks)
-	s.filterBuf = make([][]C, nChunks)
-	s.filterOut = make([][]C, nChunks)
-	for c := 0; c < nChunks; c++ {
-		s.elemScratch[c] = make([]C, nVars*np3)
-		s.filterBuf[c] = make([]C, np3)
-		s.filterOut[c] = make([]C, np3)
+	s.scratch = make([][]C, nChunks)
+	for c := range s.scratch {
+		s.scratch[c] = make([]C, (nVars+2)*np3)
 	}
 
 	sw, cw := uint64(precision.Sizeof[S]()), uint64(precision.Sizeof[C]())

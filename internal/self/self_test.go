@@ -338,12 +338,13 @@ func TestFilterDisabled(t *testing.T) {
 }
 
 func BenchmarkRHS(b *testing.B) {
-	for _, mode := range []precision.Mode{precision.Min, precision.Full} {
+	for _, mode := range []precision.Mode{precision.Min, precision.Mixed, precision.Full} {
 		r, err := New(mode, Config{Elements: 4, Order: 7})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := r.Step(); err != nil {
 					b.Fatal(err)

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/obs"
 	"repro/internal/precision"
 	"repro/internal/runner"
@@ -115,10 +116,10 @@ type state struct {
 	// Full-precision reference: the line cut, the steps it was captured
 	// at, and the modeled energy of a full run at those steps — the
 	// fidelity yardstick and the savings baseline.
-	RefLineCut  *runner.Series `json:"ref_line_cut,omitempty"`
-	RefSteps    int            `json:"ref_steps,omitempty"`
-	FullJoules  float64        `json:"full_joules,omitempty"`
-	FullDollars float64        `json:"full_dollars,omitempty"`
+	RefLineCut  *analysis.Series `json:"ref_line_cut,omitempty"`
+	RefSteps    int              `json:"ref_steps,omitempty"`
+	FullJoules  float64          `json:"full_joules,omitempty"`
+	FullDollars float64          `json:"full_dollars,omitempty"`
 }
 
 // entry is one live decision-table row: journaled state plus volatile

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/precision"
 	"repro/internal/runner"
 	"repro/internal/serve/queue"
@@ -322,7 +323,7 @@ func TestSavings(t *testing.T) {
 	tn.ObserveResult(full, &runner.Result{
 		Spec: full, Steps: full.Steps, StateHash: "f",
 		Energy:  &runner.Energy{Joules: 100, CostDollars: 2},
-		LineCut: &runner.Series{Y: []float64{1, 2, 3}},
+		LineCut: &analysis.Series{Y: []float64{1, 2, 3}},
 	})
 	half := full
 	half.Mode = "half"

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/serve/autotune"
@@ -38,7 +39,7 @@ func TestConcreteCampaignRunsOneSolvePerJob(t *testing.T) {
 	run := func(_ context.Context, req queue.RunRequest) (*runner.Result, error) {
 		solves.Add(1)
 		res := okRunResult(req.Spec)
-		res.LineCut = &runner.Series{Y: []float64{1, 2, 3}}
+		res.LineCut = &analysis.Series{Y: []float64{1, 2, 3}}
 		return res, nil
 	}
 	reg := obs.NewRegistry()
